@@ -61,4 +61,12 @@ let rec current t ~time ~v =
       p /. v_eff
   | None_ -> 0.
 
-let constant_power_watts = function Constant_power p -> Some p | _ -> None
+type shape =
+  | Bare_constant_power of float
+  | Bare_thevenin of { v_source : float; r_source : float }
+  | General
+
+let shape = function
+  | Constant_power p -> Bare_constant_power p
+  | Thevenin { v_source; r_source } -> Bare_thevenin { v_source; r_source }
+  | Square_wave _ | Scripted _ | Rf_ambient _ | None_ -> General

@@ -39,8 +39,18 @@ val current : t -> time:float -> v:float -> float
 (** Charging current (amps) at simulation time [time] with capacitor
     voltage [v]. *)
 
-val constant_power_watts : t -> float option
-(** [Some p] when the harvester is a bare {!constant_power} source —
-    the dominant bench configuration — letting a hot loop specialize
-    {!current} to [p /. max v 0.5] instead of re-matching the model
-    every instruction.  [None] for every other shape. *)
+(** The two bare sources a hot loop can evaluate from plain floats,
+    or [General] for every other model. *)
+type shape =
+  | Bare_constant_power of float
+      (** {!constant_power}: [current] is [p /. max v 0.5]. *)
+  | Bare_thevenin of { v_source : float; r_source : float }
+      (** {!thevenin}: [current] is [max 0. ((v_source -. v) /. r_source)]. *)
+  | General  (** Time-dependent or composite: call {!current}. *)
+
+val shape : t -> shape
+(** Resolved once per run, so a per-instruction loop can copy the
+    shape's floats into its own unboxed state and compute {!current}
+    with the same float operations in the same order — bit for bit —
+    instead of a cross-module call that boxes [time], [v] and the
+    result. *)

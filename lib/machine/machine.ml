@@ -146,7 +146,9 @@ let checkpoint_failure_rate o =
    record: OCaml stores such records flat (unboxed), so the hot-path
    writes in [spend]/[refresh_attack] are plain stores.  Inside the
    mixed [state] record below each mutable float write would allocate a
-   fresh box and go through the write barrier. *)
+   fresh box and go through the write barrier.  The harvester kernel's
+   constants live here for the same reason: read flat, they never need
+   a box. *)
 type phys = {
   mutable time : float;
   mutable cur_amp : float;
@@ -156,11 +158,68 @@ type phys = {
   mutable next_vsample : float;
   mutable boot_time : float;
   mutable next_wake_check : float;
-  k_harv_pw : float;
-      (* delivered watts of a bare constant-power harvester (0. otherwise);
-         lives here rather than in [state] so the fast path reads it flat
-         instead of chasing a boxed-float or option pointer *)
+  (* floats of the board's {!Harvester.shape} (0. where unused) *)
+  k_harv_p : float;  (* bare constant power: delivered watts *)
+  k_harv_vs : float;  (* bare Thevenin: source voltage *)
+  k_harv_rs : float;  (* bare Thevenin: source resistance *)
 }
+
+(* Which branch of the harvester kernel ({!harvest_current}) a board
+   takes; its floats are in [phys]. *)
+type harv_kind = H_constant_power | H_thevenin | H_general
+
+let harv_kind_of_shape = function
+  | Harvester.Bare_constant_power _ -> H_constant_power
+  | Harvester.Bare_thevenin _ -> H_thevenin
+  | Harvester.General -> H_general
+
+(* Physics at time 0, carrying the floats of the harvester [shape]. *)
+let new_phys shape =
+  let p, vs, rs =
+    match shape with
+    | Harvester.Bare_constant_power p -> (p, 0., 0.)
+    | Harvester.Bare_thevenin { v_source; r_source } -> (0., v_source, r_source)
+    | Harvester.General -> (0., 0., 0.)
+  in
+  {
+    time = 0.;
+    cur_amp = 0.;
+    cur_harvest_w = 0.;
+    next_change = neg_infinity;
+    next_obs = neg_infinity;
+    next_vsample = 0.;
+    boot_time = 0.;
+    next_wake_check = 0.;
+    k_harv_p = p;
+    k_harv_vs = vs;
+    k_harv_rs = rs;
+  }
+
+(* The harvester kernel: [Harvester.current harv] at [ph.time] and
+   voltage [v].  The two bare sources are evaluated from [phys] floats
+   with harvester.ml's operations in the same order ([max] spelled as
+   the stdlib's comparison), so the result is bit-identical; every other
+   shape makes the cross-module call.  Inlined into both [charge] and
+   [spend_fast], so on the block path [v] and the result stay unboxed. *)
+let[@inline] harvest_current kind harv ph v =
+  match kind with
+  | H_constant_power -> ph.k_harv_p /. (if v >= 0.5 then v else 0.5)
+  | H_thevenin ->
+      let x = (ph.k_harv_vs -. v) /. ph.k_harv_rs in
+      if 0. >= x then 0. else x
+  | H_general -> Harvester.current harv ~time:ph.time ~v
+
+(* Total charging current at voltage [v]: the harvester plus whatever
+   the present attack window delivers. *)
+let[@inline] charge_amps kind harv ph v =
+  harvest_current kind harv ph v +. (ph.cur_harvest_w /. max v 0.5)
+
+let charge_current board ~time ~v ~harvest_w =
+  let shape = Harvester.shape board.Board.harvester in
+  let ph = new_phys shape in
+  ph.time <- time;
+  ph.cur_harvest_w <- harvest_w;
+  charge_amps (harv_kind_of_shape shape) board.Board.harvester ph v
 
 type state = {
   board : Board.t;
@@ -181,7 +240,7 @@ type state = {
   k_v_off : float;
   k_e_off : float;  (* stored energy at the brownout threshold *)
   k_harv : Harvester.t;  (* copy of [board.harvester], no pointer chase *)
-  k_harv_const : bool;  (* bare constant-power source: use [ph.k_harv_pw] *)
+  k_harv_kind : harv_kind;
   k_tl_on : bool;  (* timeline buckets requested ([tl_bucket > 0.]) *)
   ph : phys;
   (* pre-decoded instruction stream + block dispatcher switch *)
@@ -289,13 +348,19 @@ let force_power_failure st = Capacitor.set_voltage st.cap 0.
 
 (* Pure observation: a note reads the clock and the capacitor and writes
    a preallocated ring slot.  No injector consultation, no physics —
-   runs with and without a recorder are semantically identical. *)
-let flight_note st ?(arg = 0) ev =
+   runs with and without a recorder are semantically identical.  The
+   floats go straight from the flat [phys] and capacitor records into
+   the recorder's float columns: passed to [Flight.record] they would be
+   boxed on every steady-state boundary commit. *)
+let flight_note st arg ev =
   match st.flight with
   | None -> ()
   | Some fl ->
-      Gecko_obs.Flight.record fl ~t_sim:st.ph.time ~arg
-        ~v:(Capacitor.voltage st.cap) ev
+      let i = Gecko_obs.Flight.claim fl ~arg ev in
+      if i >= 0 then begin
+        Array.unsafe_set fl.Gecko_obs.Flight.ts i st.ph.time;
+        Array.unsafe_set fl.Gecko_obs.Flight.vs i st.cap.Capacitor.voltage
+      end
 
 let flight_ids = function
   | Ev_boot m -> ("boot", Policy.mode_to_int m)
@@ -349,7 +414,7 @@ let refresh_attack st =
         st.ph.cur_amp <- Attack.induced_amplitude ~profile:st.profile w.Schedule.attack;
         st.ph.cur_harvest_w <- Attack.harvestable_power w.Schedule.attack;
         st.ph.next_change <- w.Schedule.t_end;
-        flight_note st ~arg:!i "attack_window"
+        flight_note st !i "attack_window"
       end
       else begin
         st.ph.cur_amp <- 0.;
@@ -363,10 +428,7 @@ let refresh_attack st =
 
 let charge st dt =
   let v = Capacitor.voltage st.cap in
-  let i =
-    Harvester.current st.board.Board.harvester ~time:st.ph.time ~v
-    +. (st.ph.cur_harvest_w /. max v 0.5)
-  in
+  let i = charge_amps st.k_harv_kind st.k_harv st.ph v in
   Capacitor.source_current st.cap ~amps:i ~dt
 
 let bucket_index st = int_of_float (st.ph.time /. st.tl_bucket)
@@ -440,7 +502,7 @@ let record st kind =
   | None -> ()
   | Some _ ->
       let name, arg = flight_ids kind in
-      flight_note st ~arg name);
+      flight_note st arg name);
   (* The event itself happened; the injector may kill the supply right
      at it (e.g. the instant the backup signal fires, or the instant a
      checkpoint completes). *)
@@ -515,7 +577,7 @@ let ctpl_sram_words = 96
 
 let jit_checkpoint_work st =
   st.jit_checkpoints <- st.jit_checkpoints + 1;
-  flight_note st "checkpoint_begin";
+  flight_note st 0 "checkpoint_begin";
   spend st Cost.jit_isr_overhead_cycles ~extra:0.;
   (* One injection site per NVM word the ISR writes (SRAM sections first,
      then registers/PC/ACK): a forced collapse before word [k] leaves a
@@ -659,7 +721,7 @@ let undo_replay st word =
      with Exit -> ());
     if !replayed > 0 then begin
       st.misspeculations <- st.misspeculations + 1;
-      flight_note st ~arg:!replayed "misspeculation"
+      flight_note st !replayed "misspeculation"
     end
   end
 
@@ -1007,7 +1069,7 @@ let exec_op st i =
          end
        end
        else Nvm.write st.nvm (sys_cell st Link.Cells.sys_boundary) (id + 1));
-      flight_note st ~arg:id "boundary";
+      flight_note st id "boundary";
       if not st.progress_written then begin
         (* Once per power cycle: the detection flag. *)
         spend st Cost.nvm_write_cycles ~extra:(nvm_extra st ~reads:0 ~writes:1);
@@ -1023,7 +1085,7 @@ let exec_op st i =
              Both lists are newest-first, so prepending the stage keeps
              the log in emission order. *)
           if st.io_staged <> [] then begin
-            flight_note st ~arg:(List.length st.io_staged) "io_commit";
+            flight_note st (List.length st.io_staged) "io_commit";
             st.io_log <- st.io_staged @ st.io_log;
             st.io_staged <- []
           end;
@@ -1111,19 +1173,28 @@ let step_instr st =
 (* --- pre-decoded block dispatcher ------------------------------------ *)
 
 (* One instruction's physics on the fast path: the exact float sequence
-   of [spend] with [Capacitor.drain]/[charge] inlined (without flambda a
-   cross-module call costs more than the float work it wraps).  Every
-   expression replicates capacitor.ml / harvester.ml operation for
-   operation, so the voltage trajectory is bit-identical to the checked
-   path's.  [min]/[max] are spelled as float comparisons — same result
-   as the polymorphic stdlib versions on the non-NaN values involved.
-   When no attack window is harvesting, [cur_harvest_w = 0.] and the
-   harvester current is >= +0., so skipping the [+. 0.] term cannot
-   change a bit. *)
-let spend_fast st dt e c =
+   of [spend] with [Capacitor.drain] and [charge] inlined (without
+   flambda a cross-module call costs more than the float work it wraps).
+   Every expression replicates capacitor.ml operation for operation and
+   the harvester current comes from the shared kernel, so the voltage
+   trajectory is bit-identical to the checked path's.  [min]/[max] are
+   spelled as float comparisons — same result as the polymorphic stdlib
+   versions on the non-NaN values involved.  When no attack window is
+   harvesting, [cur_harvest_w = 0.] and the harvester current is >= +0.,
+   so skipping the [+. 0.] term cannot change a bit.
+
+   The function takes the slot index [s] and reads the slot's [dt]/[en]
+   from the decoder's float arrays itself: without flambda, floats
+   passed to a function that is not inlined are boxed, so passing them
+   in would allocate on every instruction.  With the kernel inlined and
+   every float field in a flat all-float record, one call allocates
+   nothing. *)
+let spend_fast st s c =
   st.instrs <- st.instrs + 1;
   let cap = st.cap in
   let ph = st.ph in
+  let dt = Array.unsafe_get st.dec.Decode.dt s in
+  let e = Array.unsafe_get st.dec.Decode.en s in
   let open Capacitor in
   let v0 = cap.voltage in
   let v1 =
@@ -1137,10 +1208,7 @@ let spend_fast st dt e c =
     end
     else v0
   in
-  let i =
-    if st.k_harv_const then ph.k_harv_pw /. (if v1 >= 0.5 then v1 else 0.5)
-    else Harvester.current st.k_harv ~time:ph.time ~v:v1
-  in
+  let i = harvest_current st.k_harv_kind st.k_harv ph v1 in
   let i =
     if ph.cur_harvest_w > 0. then
       i +. (ph.cur_harvest_w /. (if v1 >= 0.5 then v1 else 0.5))
@@ -1163,6 +1231,12 @@ let spend_fast st dt e c =
      flambda is a measurable share of the loop. *)
   st.app_cycles <- st.app_cycles + c;
   if st.k_tl_on && c > 0 then account_app_seconds st dt
+
+(* [Capacitor.energy] with the same float expression, for the block
+   guards below: the cross-module call would box its result once per
+   block. *)
+let[@inline] cap_energy (cap : Capacitor.t) =
+  0.5 *. cap.capacitance *. cap.voltage *. cap.voltage
 
 (* Region commits are the one per-instruction-path op the block
    dispatcher cannot batch (solo slot, data-dependent cost) yet by far
@@ -1196,7 +1270,7 @@ let try_fast_solo st pc id =
   if t_end >= st.k_time_limit || t_end >= ph.next_change then false
   else
     let e_need = (en *. 1.000001) +. 1e-18 in
-    let e_rem = Capacitor.energy st.cap -. e_need in
+    let e_rem = cap_energy st.cap -. e_need in
     if e_rem <= (st.k_e_off *. 1.000001) +. 1e-18 then false
     else
       let mon_ok =
@@ -1204,14 +1278,14 @@ let try_fast_solo st pc id =
         || ph.next_obs = neg_infinity
            && Monitor.quiescent st.monitor
                 ~v_min:
-                  (sqrt (2. *. e_rem /. Capacitor.capacitance st.cap)
+                  (sqrt (2. *. e_rem /. st.cap.Capacitor.capacitance)
                   *. 0.999999)
                 ~disturbance:ph.cur_amp
       in
       if not mon_ok then false
       else begin
         st.boundary_commits <- st.boundary_commits + 1;
-        spend_fast st dt en 0;
+        spend_fast st pc 0;
         let word =
           if st.k_has_guards then begin
             let epoch = ((st.boundary_word_v lsr 32) + 1) land 0x3FFFFFFF in
@@ -1222,7 +1296,7 @@ let try_fast_solo st pc id =
           else id + 1
         in
         Nvm.write st.nvm (sys_cell st Link.Cells.sys_boundary) word;
-        flight_note st ~arg:id "boundary";
+        flight_note st id "boundary";
         (match st.meta.Meta.scheme with
         | Scheme.Ratchet ->
             let parity = Nvm.read st.nvm (sys_cell st Link.Cells.sys_parity) in
@@ -1234,129 +1308,108 @@ let try_fast_solo st pc id =
         true
       end
 
-(* Run the decoded slots [pc, endp) with the per-instruction checks
+(* Run the decoded slots [s, endp) with the per-instruction checks
    hoisted out (the block guard proved them all no-ops).  Register
    indices come from the decoder, which only emits indices below
-   [Reg.count], so unchecked array access is safe.  The loop is a local
-   tail-recursive function: without flambda a [ref] loop counter lives
-   in memory, while a tail-call argument stays in a register.  Arms
-   that transfer control set [st.pc] and simply do not recurse. *)
-let exec_block st pc endp =
-  let d = st.dec in
-  let ops = d.Decode.ops in
-  let dta = d.Decode.dt in
-  let ena = d.Decode.en in
-  let cyc = d.Decode.cyc in
-  let regs = st.regs in
-  let nvm = st.nvm in
-  let rec go s =
-    if s >= endp then st.pc <- s
-    else
-      match Array.unsafe_get ops s with
+   [Reg.count], so unchecked array access is safe.  The loop is a
+   top-level tail-recursive function taking its arrays as arguments:
+   without flambda a [ref] loop counter lives in memory, while a
+   tail-call argument stays in a register, and a local [let rec] would
+   allocate a closure over them on every block.  Arms that transfer
+   control set [st.pc] and simply do not recurse. *)
+let rec exec_slots st ops cyc regs nvm endp s =
+  if s >= endp then st.pc <- s
+  else
+    match Array.unsafe_get ops s with
     | Decode.M_li (dd, v) ->
-        spend_fast st (Array.unsafe_get dta s) (Array.unsafe_get ena s)
-          (Array.unsafe_get cyc s);
+        spend_fast st s (Array.unsafe_get cyc s);
         Array.unsafe_set regs dd v;
-        go (s + 1)
+        exec_slots st ops cyc regs nvm endp (s + 1)
     | Decode.M_mov (dd, sv) ->
-        spend_fast st (Array.unsafe_get dta s) (Array.unsafe_get ena s)
-          (Array.unsafe_get cyc s);
+        spend_fast st s (Array.unsafe_get cyc s);
         Array.unsafe_set regs dd (Array.unsafe_get regs sv);
-        go (s + 1)
+        exec_slots st ops cyc regs nvm endp (s + 1)
     | Decode.M_bin_rr (op, dd, a, b) ->
-        spend_fast st (Array.unsafe_get dta s) (Array.unsafe_get ena s)
-          (Array.unsafe_get cyc s);
+        spend_fast st s (Array.unsafe_get cyc s);
         Array.unsafe_set regs dd
           (Instr.eval_binop op (Array.unsafe_get regs a)
              (Array.unsafe_get regs b));
-        go (s + 1)
+        exec_slots st ops cyc regs nvm endp (s + 1)
     | Decode.M_bin_ri (op, dd, a, v) ->
-        spend_fast st (Array.unsafe_get dta s) (Array.unsafe_get ena s)
-          (Array.unsafe_get cyc s);
+        spend_fast st s (Array.unsafe_get cyc s);
         Array.unsafe_set regs dd
           (Instr.eval_binop op (Array.unsafe_get regs a) v);
-        go (s + 1)
+        exec_slots st ops cyc regs nvm endp (s + 1)
     | Decode.M_ld (dd, addr) ->
-        spend_fast st (Array.unsafe_get dta s) (Array.unsafe_get ena s)
-          (Array.unsafe_get cyc s);
+        spend_fast st s (Array.unsafe_get cyc s);
         Array.unsafe_set regs dd (Nvm.read nvm addr);
-        go (s + 1)
+        exec_slots st ops cyc regs nvm endp (s + 1)
     | Decode.M_ld_dyn (dd, base, r) ->
-        spend_fast st (Array.unsafe_get dta s) (Array.unsafe_get ena s)
-          (Array.unsafe_get cyc s);
+        spend_fast st s (Array.unsafe_get cyc s);
         Array.unsafe_set regs dd (Nvm.read nvm (base + Array.unsafe_get regs r));
-        go (s + 1)
+        exec_slots st ops cyc regs nvm endp (s + 1)
     | Decode.M_st (addr, sv) ->
-        spend_fast st (Array.unsafe_get dta s) (Array.unsafe_get ena s)
-          (Array.unsafe_get cyc s);
+        spend_fast st s (Array.unsafe_get cyc s);
         Nvm.write nvm addr (Array.unsafe_get regs sv);
-        go (s + 1)
+        exec_slots st ops cyc regs nvm endp (s + 1)
     | Decode.M_st_dyn (base, r, sv) ->
-        spend_fast st (Array.unsafe_get dta s) (Array.unsafe_get ena s)
-          (Array.unsafe_get cyc s);
+        spend_fast st s (Array.unsafe_get cyc s);
         Nvm.write nvm (base + Array.unsafe_get regs r) (Array.unsafe_get regs sv);
-        go (s + 1)
+        exec_slots st ops cyc regs nvm endp (s + 1)
     | Decode.M_in (dd, port) ->
-        spend_fast st (Array.unsafe_get dta s) (Array.unsafe_get ena s)
-          (Array.unsafe_get cyc s);
+        spend_fast st s (Array.unsafe_get cyc s);
         Array.unsafe_set regs dd (io_in_value st port);
-        go (s + 1)
+        exec_slots st ops cyc regs nvm endp (s + 1)
     | Decode.M_out (port, sv) ->
-        spend_fast st (Array.unsafe_get dta s) (Array.unsafe_get ena s)
-          (Array.unsafe_get cyc s);
+        spend_fast st s (Array.unsafe_get cyc s);
         st.io_out_count <- st.io_out_count + 1;
         (if st.opts.record_io then
            if monitor_is_gecko st then
              st.io_staged <- (port, Array.unsafe_get regs sv) :: st.io_staged
            else st.io_log <- (port, Array.unsafe_get regs sv) :: st.io_log);
-        go (s + 1)
+        exec_slots st ops cyc regs nvm endp (s + 1)
     | Decode.M_nop ->
-        spend_fast st (Array.unsafe_get dta s) (Array.unsafe_get ena s)
-          (Array.unsafe_get cyc s);
-        go (s + 1)
+        spend_fast st s (Array.unsafe_get cyc s);
+        exec_slots st ops cyc regs nvm endp (s + 1)
     | Decode.M_ckpt (addr, src) ->
         st.ckpt_stores <- st.ckpt_stores + 1;
-        spend_fast st (Array.unsafe_get dta s) (Array.unsafe_get ena s) 0;
+        spend_fast st s 0;
         Nvm.write nvm addr (Array.unsafe_get regs src);
         st.instrumentation_cycles <-
           st.instrumentation_cycles + Array.unsafe_get cyc s;
-        go (s + 1)
+        exec_slots st ops cyc regs nvm endp (s + 1)
     | Decode.M_ckptdyn (src, parity_addr, cell_base) ->
         st.ckpt_stores <- st.ckpt_stores + 1;
-        spend_fast st (Array.unsafe_get dta s) (Array.unsafe_get ena s) 0;
+        spend_fast st s 0;
         let parity = Nvm.read nvm parity_addr in
         Nvm.write nvm
           (cell_base + ((1 - parity) * Reg.count))
           (Array.unsafe_get regs src);
         st.instrumentation_cycles <-
           st.instrumentation_cycles + Array.unsafe_get cyc s;
-        go (s + 1)
+        exec_slots st ops cyc regs nvm endp (s + 1)
     | Decode.M_ldslot (dd, addr) ->
-        spend_fast st (Array.unsafe_get dta s) (Array.unsafe_get ena s) 0;
+        spend_fast st s 0;
         Array.unsafe_set regs dd (Nvm.read nvm addr);
         st.instrumentation_cycles <-
           st.instrumentation_cycles + Array.unsafe_get cyc s;
-        go (s + 1)
+        exec_slots st ops cyc regs nvm endp (s + 1)
     | Decode.M_jmp t ->
-        spend_fast st (Array.unsafe_get dta s) (Array.unsafe_get ena s)
-          (Array.unsafe_get cyc s);
+        spend_fast st s (Array.unsafe_get cyc s);
         st.pc <- t
     | Decode.M_br (cond, r, t, e) ->
-        spend_fast st (Array.unsafe_get dta s) (Array.unsafe_get ena s)
-          (Array.unsafe_get cyc s);
+        spend_fast st s (Array.unsafe_get cyc s);
         st.pc <-
           (if Instr.eval_cond cond (Array.unsafe_get regs r) then t else e)
     | Decode.M_call (target, ret) ->
-        spend_fast st (Array.unsafe_get dta s) (Array.unsafe_get ena s)
-          (Array.unsafe_get cyc s);
+        spend_fast st s (Array.unsafe_get cyc s);
         let spi = Reg.to_int Reg.sp in
         let sp = regs.(spi) in
         Nvm.write nvm (st.image.Link.stack_base + sp) ret;
         regs.(spi) <- sp - 1;
         st.pc <- target
     | Decode.M_ret ->
-        spend_fast st (Array.unsafe_get dta s) (Array.unsafe_get ena s)
-          (Array.unsafe_get cyc s);
+        spend_fast st s (Array.unsafe_get cyc s);
         let spi = Reg.to_int Reg.sp in
         let sp = regs.(spi) + 1 in
         regs.(spi) <- sp;
@@ -1366,139 +1419,116 @@ let exec_block st pc endp =
            here the slot is replayed on the checked path untouched. *)
         st.pc <- s
     | Decode.M_f_ld_op_rr (d1, addr, op, d2, a2, b2) ->
-        spend_fast st (Array.unsafe_get dta s) (Array.unsafe_get ena s)
-          (Array.unsafe_get cyc s);
+        spend_fast st s (Array.unsafe_get cyc s);
         Array.unsafe_set regs d1 (Nvm.read nvm addr);
         let s1 = s + 1 in
-        spend_fast st (Array.unsafe_get dta s1) (Array.unsafe_get ena s1)
-          (Array.unsafe_get cyc s1);
+        spend_fast st s1 (Array.unsafe_get cyc s1);
         Array.unsafe_set regs d2
           (Instr.eval_binop op (Array.unsafe_get regs a2)
              (Array.unsafe_get regs b2));
-        go (s + 2)
+        exec_slots st ops cyc regs nvm endp (s + 2)
     | Decode.M_f_ld_op_ri (d1, addr, op, d2, a2, v) ->
-        spend_fast st (Array.unsafe_get dta s) (Array.unsafe_get ena s)
-          (Array.unsafe_get cyc s);
+        spend_fast st s (Array.unsafe_get cyc s);
         Array.unsafe_set regs d1 (Nvm.read nvm addr);
         let s1 = s + 1 in
-        spend_fast st (Array.unsafe_get dta s1) (Array.unsafe_get ena s1)
-          (Array.unsafe_get cyc s1);
+        spend_fast st s1 (Array.unsafe_get cyc s1);
         Array.unsafe_set regs d2
           (Instr.eval_binop op (Array.unsafe_get regs a2) v);
-        go (s + 2)
+        exec_slots st ops cyc regs nvm endp (s + 2)
     | Decode.M_f_op_st_rr (op, dd, a, b, addr) ->
-        spend_fast st (Array.unsafe_get dta s) (Array.unsafe_get ena s)
-          (Array.unsafe_get cyc s);
+        spend_fast st s (Array.unsafe_get cyc s);
         Array.unsafe_set regs dd
           (Instr.eval_binop op (Array.unsafe_get regs a)
              (Array.unsafe_get regs b));
         let s1 = s + 1 in
-        spend_fast st (Array.unsafe_get dta s1) (Array.unsafe_get ena s1)
-          (Array.unsafe_get cyc s1);
+        spend_fast st s1 (Array.unsafe_get cyc s1);
         Nvm.write nvm addr (Array.unsafe_get regs dd);
-        go (s + 2)
+        exec_slots st ops cyc regs nvm endp (s + 2)
     | Decode.M_f_op_st_ri (op, dd, a, v, addr) ->
-        spend_fast st (Array.unsafe_get dta s) (Array.unsafe_get ena s)
-          (Array.unsafe_get cyc s);
+        spend_fast st s (Array.unsafe_get cyc s);
         Array.unsafe_set regs dd
           (Instr.eval_binop op (Array.unsafe_get regs a) v);
         let s1 = s + 1 in
-        spend_fast st (Array.unsafe_get dta s1) (Array.unsafe_get ena s1)
-          (Array.unsafe_get cyc s1);
+        spend_fast st s1 (Array.unsafe_get cyc s1);
         Nvm.write nvm addr (Array.unsafe_get regs dd);
-        go (s + 2)
+        exec_slots st ops cyc regs nvm endp (s + 2)
     | Decode.M_f_cmp_br_rr (op, dd, a, b, cond, t, e) ->
-        spend_fast st (Array.unsafe_get dta s) (Array.unsafe_get ena s)
-          (Array.unsafe_get cyc s);
+        spend_fast st s (Array.unsafe_get cyc s);
         Array.unsafe_set regs dd
           (Instr.eval_binop op (Array.unsafe_get regs a)
              (Array.unsafe_get regs b));
         let s1 = s + 1 in
-        spend_fast st (Array.unsafe_get dta s1) (Array.unsafe_get ena s1)
-          (Array.unsafe_get cyc s1);
+        spend_fast st s1 (Array.unsafe_get cyc s1);
         st.pc <-
           (if Instr.eval_cond cond (Array.unsafe_get regs dd) then t else e)
     | Decode.M_f_cmp_br_ri (op, dd, a, v, cond, t, e) ->
-        spend_fast st (Array.unsafe_get dta s) (Array.unsafe_get ena s)
-          (Array.unsafe_get cyc s);
+        spend_fast st s (Array.unsafe_get cyc s);
         Array.unsafe_set regs dd
           (Instr.eval_binop op (Array.unsafe_get regs a) v);
         let s1 = s + 1 in
-        spend_fast st (Array.unsafe_get dta s1) (Array.unsafe_get ena s1)
-          (Array.unsafe_get cyc s1);
+        spend_fast st s1 (Array.unsafe_get cyc s1);
         st.pc <-
           (if Instr.eval_cond cond (Array.unsafe_get regs dd) then t else e)
     | Decode.M_f_lddyn_op_rr (d1, base, r, op, d2, a2, b2) ->
-        spend_fast st (Array.unsafe_get dta s) (Array.unsafe_get ena s)
-          (Array.unsafe_get cyc s);
+        spend_fast st s (Array.unsafe_get cyc s);
         Array.unsafe_set regs d1 (Nvm.read nvm (base + Array.unsafe_get regs r));
         let s1 = s + 1 in
-        spend_fast st (Array.unsafe_get dta s1) (Array.unsafe_get ena s1)
-          (Array.unsafe_get cyc s1);
+        spend_fast st s1 (Array.unsafe_get cyc s1);
         Array.unsafe_set regs d2
           (Instr.eval_binop op (Array.unsafe_get regs a2)
              (Array.unsafe_get regs b2));
-        go (s + 2)
+        exec_slots st ops cyc regs nvm endp (s + 2)
     | Decode.M_f_lddyn_op_ri (d1, base, r, op, d2, a2, v) ->
-        spend_fast st (Array.unsafe_get dta s) (Array.unsafe_get ena s)
-          (Array.unsafe_get cyc s);
+        spend_fast st s (Array.unsafe_get cyc s);
         Array.unsafe_set regs d1 (Nvm.read nvm (base + Array.unsafe_get regs r));
         let s1 = s + 1 in
-        spend_fast st (Array.unsafe_get dta s1) (Array.unsafe_get ena s1)
-          (Array.unsafe_get cyc s1);
+        spend_fast st s1 (Array.unsafe_get cyc s1);
         Array.unsafe_set regs d2
           (Instr.eval_binop op (Array.unsafe_get regs a2) v);
-        go (s + 2)
+        exec_slots st ops cyc regs nvm endp (s + 2)
     | Decode.M_f_op_op_rr_rr (op1, d1, a1, b1, op2, d2, a2, b2) ->
-        spend_fast st (Array.unsafe_get dta s) (Array.unsafe_get ena s)
-          (Array.unsafe_get cyc s);
+        spend_fast st s (Array.unsafe_get cyc s);
         Array.unsafe_set regs d1
           (Instr.eval_binop op1 (Array.unsafe_get regs a1)
              (Array.unsafe_get regs b1));
         let s1 = s + 1 in
-        spend_fast st (Array.unsafe_get dta s1) (Array.unsafe_get ena s1)
-          (Array.unsafe_get cyc s1);
+        spend_fast st s1 (Array.unsafe_get cyc s1);
         Array.unsafe_set regs d2
           (Instr.eval_binop op2 (Array.unsafe_get regs a2)
              (Array.unsafe_get regs b2));
-        go (s + 2)
+        exec_slots st ops cyc regs nvm endp (s + 2)
     | Decode.M_f_op_op_rr_ri (op1, d1, a1, b1, op2, d2, a2, v2) ->
-        spend_fast st (Array.unsafe_get dta s) (Array.unsafe_get ena s)
-          (Array.unsafe_get cyc s);
+        spend_fast st s (Array.unsafe_get cyc s);
         Array.unsafe_set regs d1
           (Instr.eval_binop op1 (Array.unsafe_get regs a1)
              (Array.unsafe_get regs b1));
         let s1 = s + 1 in
-        spend_fast st (Array.unsafe_get dta s1) (Array.unsafe_get ena s1)
-          (Array.unsafe_get cyc s1);
+        spend_fast st s1 (Array.unsafe_get cyc s1);
         Array.unsafe_set regs d2
           (Instr.eval_binop op2 (Array.unsafe_get regs a2) v2);
-        go (s + 2)
+        exec_slots st ops cyc regs nvm endp (s + 2)
     | Decode.M_f_op_op_ri_rr (op1, d1, a1, v1, op2, d2, a2, b2) ->
-        spend_fast st (Array.unsafe_get dta s) (Array.unsafe_get ena s)
-          (Array.unsafe_get cyc s);
+        spend_fast st s (Array.unsafe_get cyc s);
         Array.unsafe_set regs d1
           (Instr.eval_binop op1 (Array.unsafe_get regs a1) v1);
         let s1 = s + 1 in
-        spend_fast st (Array.unsafe_get dta s1) (Array.unsafe_get ena s1)
-          (Array.unsafe_get cyc s1);
+        spend_fast st s1 (Array.unsafe_get cyc s1);
         Array.unsafe_set regs d2
           (Instr.eval_binop op2 (Array.unsafe_get regs a2)
              (Array.unsafe_get regs b2));
-        go (s + 2)
+        exec_slots st ops cyc regs nvm endp (s + 2)
     | Decode.M_f_op_op_ri_ri (op1, d1, a1, v1, op2, d2, a2, v2) ->
-        spend_fast st (Array.unsafe_get dta s) (Array.unsafe_get ena s)
-          (Array.unsafe_get cyc s);
+        spend_fast st s (Array.unsafe_get cyc s);
         Array.unsafe_set regs d1
           (Instr.eval_binop op1 (Array.unsafe_get regs a1) v1);
         let s1 = s + 1 in
-        spend_fast st (Array.unsafe_get dta s1) (Array.unsafe_get ena s1)
-          (Array.unsafe_get cyc s1);
+        spend_fast st s1 (Array.unsafe_get cyc s1);
         Array.unsafe_set regs d2
           (Instr.eval_binop op2 (Array.unsafe_get regs a2) v2);
-        go (s + 2)
-  in
-  go pc
+        exec_slots st ops cyc regs nvm endp (s + 2)
+
+let exec_block st pc endp =
+  exec_slots st st.dec.Decode.ops st.dec.Decode.cyc st.regs st.nvm endp pc
 
 (* Block-entry guard: prove that from [pc] to its block end none of the
    per-instruction checks — time limit, attack-window edge, brownout,
@@ -1534,7 +1564,7 @@ let try_fast_prefix st pc =
     let endp = Array.unsafe_get d.Decode.blk_end pc in
     let dsfx0 = Array.unsafe_get d.Decode.dt_sfx pc in
     let esfx0 = Array.unsafe_get d.Decode.e_sfx pc in
-    let e_cap = Capacitor.energy st.cap in
+    let e_cap = cap_energy st.cap in
     let e_floor = (st.k_e_off *. 1.000001) +. 1e-18 in
     let ops = d.Decode.ops in
     let m = ref pc in
@@ -1582,7 +1612,7 @@ let try_fast_block st =
         try_fast_prefix st pc
       else
         let e_need = (e_sfx *. 1.000001) +. 1e-18 in
-        let e_rem = Capacitor.energy st.cap -. e_need in
+        let e_rem = cap_energy st.cap -. e_need in
         if e_rem <= (st.k_e_off *. 1.000001) +. 1e-18 then
           try_fast_prefix st pc
         else if t_end < ph.next_obs then begin
@@ -1594,7 +1624,7 @@ let try_fast_block st =
              [v_min]; ask the monitor whether all observes at or above
              it are provably no-ops. *)
           let v_min =
-            sqrt (2. *. e_rem /. Capacitor.capacitance st.cap) *. 0.999999
+            sqrt (2. *. e_rem /. st.cap.Capacitor.capacitance) *. 0.999999
           in
           if Monitor.quiescent st.monitor ~v_min ~disturbance:ph.cur_amp
           then begin
@@ -1661,6 +1691,7 @@ let make_state ~board ~image ~meta opts =
     Capacitor.create ~capacitance:board.Board.capacitance
       ~v_max:board.Board.v_max ~v_init
   in
+  let harv_shape = Harvester.shape board.Board.harvester in
   let tl_bucket = Option.value opts.timeline_bucket ~default:0. in
   let n_buckets =
     if tl_bucket > 0. then
@@ -1692,26 +1723,9 @@ let make_state ~board ~image ~meta opts =
         Capacitor.stored_energy_at ~capacitance:board.Board.capacitance
           board.Board.v_off;
       k_harv = board.Board.harvester;
-      k_harv_const =
-        (match Harvester.constant_power_watts board.Board.harvester with
-        | Some _ -> true
-        | None -> false);
+      k_harv_kind = harv_kind_of_shape harv_shape;
       k_tl_on = tl_bucket > 0.;
-      ph =
-        {
-          time = 0.;
-          cur_amp = 0.;
-          cur_harvest_w = 0.;
-          next_change = neg_infinity;
-          next_obs = neg_infinity;
-          next_vsample = 0.;
-          boot_time = 0.;
-          next_wake_check = 0.;
-          k_harv_pw =
-            (match Harvester.constant_power_watts board.Board.harvester with
-            | Some p -> p
-            | None -> 0.);
-        };
+      ph = new_phys harv_shape;
       dec =
         (match opts.decoded with
         | Some d when d.Decode.image == image -> d

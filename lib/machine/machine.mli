@@ -178,6 +178,17 @@ val run_with_nvm :
   outcome * int array
 (** Like {!run} but also returns the final data-segment snapshot. *)
 
+val charge_current :
+  Board.t -> time:float -> v:float -> harvest_w:float -> float
+(** The capacitor charging current (A) both dispatch paths compute at
+    simulated [time] and capacitor voltage [v] while an attack window
+    delivers [harvest_w] watts:
+    [Harvester.current h ~time ~v +. (harvest_w /. max v 0.5)], where
+    bare constant-power and Thevenin harvesters are evaluated by the
+    machine's flat kernel instead of the cross-module call.  Exposed so
+    tests can check that kernel against {!Gecko_energy.Harvester.current}
+    bit for bit. *)
+
 (** Deterministic stepping interface for fault-injection drivers
     (`Gecko_faultinject`).
 

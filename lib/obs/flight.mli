@@ -22,7 +22,21 @@ type entry = {
   e_v : float;  (** Supply voltage at the instant (V). *)
 }
 
-type t
+type t = private {
+  mutable enabled : bool;
+  ts : float array;  (** Per slot: simulated seconds. *)
+  evs : string array;  (** Per slot: event name. *)
+  args : int array;  (** Per slot: event argument. *)
+  vs : float array;  (** Per slot: supply voltage (V). *)
+  mutable head : int;  (** Index of the oldest slot once wrapped. *)
+  mutable len : int;
+  mutable dropped : int;
+}
+(** The ring, as four parallel columns.  The representation is exposed
+    read-only for a caller on a per-instruction path, which fills the
+    two float columns of a {!claim}ed slot itself: without cross-module
+    inlining, floats passed to {!record} are boxed on every call, while
+    a store into a [float array] is a plain store. *)
 
 val default_capacity : int
 (** 64 — deep enough to show the protocol context around an anomaly,
@@ -40,7 +54,13 @@ val set_enabled : t -> bool -> unit
 
 val record : t -> t_sim:float -> arg:int -> v:float -> string -> unit
 (** Append an event; once full, the oldest is overwritten.  [ev] should
-    be a static string — the hot path then allocates nothing. *)
+    be a static string. *)
+
+val claim : t -> arg:int -> string -> int
+(** [record] without the floats: append the event's name and argument
+    and return its slot, whose [ts] and [vs] entries the caller must
+    then set; [-1] (nothing recorded) when the recorder is disabled.
+    Allocates nothing. *)
 
 val capacity : t -> int
 val length : t -> int

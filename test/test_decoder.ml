@@ -265,6 +265,102 @@ let prop_outage_matches_reference =
       in
       norm o = norm_ref r && nvm = rnvm)
 
+(* The siege board itself: the attack rig's 150 ohm Thevenin rectenna
+   on a 4.7 uF capacitor takes the flat harvester kernel's Thevenin
+   branch on every fast-path instruction, and a remote EMI window adds
+   attack-window harvest on top (with detection and rollback for the
+   schemes that react).  The window's distance varies with the seed. *)
+let prop_attack_rig_matches_reference =
+  QCheck.Test.make ~count:12
+    ~name:"fast path matches the reference on the attack rig" seed_gen
+    (fun seed ->
+      let scheme = scheme_of seed in
+      let image, meta = compile scheme seed in
+      let board = M.Board.attack_rig () in
+      let schedule =
+        Gecko_emi.Schedule.make
+          [
+            Gecko_emi.Schedule.window ~t_start:0.03 ~t_end:0.08
+              (Gecko_emi.Attack.remote
+                 ~distance_m:(0.1 +. (0.2 *. float_of_int (seed mod 5)))
+                 (Gecko_emi.Signal.make ~freq_mhz:27. ~power_dbm:20.));
+          ]
+      in
+      let o, nvm =
+        M.Machine.run_with_nvm ~board ~image ~meta
+          {
+            M.Machine.default_options with
+            schedule;
+            limit = M.Machine.Sim_time 0.12;
+            max_sim_time = 0.2;
+            seed;
+            restart_on_halt = true;
+            record_io = true;
+            record_events = true;
+          }
+      in
+      let r, rnvm =
+        Ref_machine.run_with_nvm ~board ~image ~meta
+          {
+            Ref_machine.default_options with
+            Ref_machine.schedule;
+            limit = Ref_machine.Sim_time 0.12;
+            max_sim_time = 0.2;
+            seed;
+            restart_on_halt = true;
+            record_io = true;
+            record_events = true;
+          }
+      in
+      norm o = norm_ref r && nvm = rnvm)
+
+(* The machine's flat harvester kernel against [Harvester.current], bit
+   for bit, at random voltages in [0, 4] V: below the 0.5 V floor of a
+   constant-power source, above a Thevenin source's voltage (where the
+   current floors at zero), at the edges exactly, and with and without
+   attack-window harvest.  A square-wave-gated source covers the
+   general branch. *)
+let prop_kernel_matches_harvester =
+  let gen =
+    let open QCheck.Gen in
+    let* shape = int_bound 2 in
+    let* p = float_range 1e-4 0.1 in
+    let* v_source = float_range 1.0 3.6 in
+    let* r_source = float_range 10. 5000. in
+    let* v =
+      oneof
+        [
+          float_range 0. 4.;
+          float_range 0. 0.5;
+          float_range v_source 4.;
+          oneofl [ 0.; 0.5; v_source; 4. ];
+        ]
+    in
+    let* time = float_range 0. 1. in
+    let* harvest_w = oneof [ return 0.; float_range 1e-6 0.05 ] in
+    return (shape, p, v_source, r_source, v, time, harvest_w)
+  in
+  let print (shape, p, vs, rs, v, time, w) =
+    Printf.sprintf "shape=%d p=%h vs=%h rs=%h v=%h time=%h harvest_w=%h" shape
+      p vs rs v time w
+  in
+  QCheck.Test.make ~count:2000
+    ~name:"flat harvester kernel equals Harvester.current bit for bit"
+    (QCheck.make ~print gen)
+    (fun (shape, p, v_source, r_source, v, time, harvest_w) ->
+      let h =
+        match shape with
+        | 0 -> H.constant_power p
+        | 1 -> H.thevenin ~v_source ~r_source
+        | _ ->
+            H.square_wave ~period:0.02 ~duty:0.5
+              (H.thevenin ~v_source ~r_source)
+      in
+      let board = M.Board.default ~harvester:h () in
+      let kernel = M.Machine.charge_current board ~time ~v ~harvest_w in
+      let reference = H.current h ~time ~v +. (harvest_w /. max v 0.5) in
+      Int64.equal (Int64.bits_of_float kernel) (Int64.bits_of_float reference))
+
 (* An injected power failure mid-run (the n-th instruction-fetch site),
    identically on the fast and the checked interpreter: the decoded
    dispatcher's rollback/replay must be step-for-step equivalent to the
@@ -365,6 +461,8 @@ let () =
           [
             prop_checked_matches_reference;
             prop_outage_matches_reference;
+            prop_attack_rig_matches_reference;
+            prop_kernel_matches_harvester;
             prop_injected_failure_fast_vs_checked;
             prop_observers_do_not_perturb;
           ] );
