@@ -277,6 +277,77 @@ let dispatch_bench () =
     rows
   @ [ ("wall_seconds", wall) ]
 
+(* Cold compile latency of the whole suite: every workload under the
+   four configurations of the benchmark's steady workload (NVP, Ratchet,
+   GECKO sound and speculative), straight through Pipeline.compile with
+   no Workbench memo.  Reports the median wall seconds of a full sweep
+   over repeated sweeps with its quartiles, the minor-heap words one
+   compile allocates, and the colouring rounds (analyses run) the GECKO
+   compiles take — a changed round count means the repair sequence
+   changed.  CI bounds the words per compile at 365K. *)
+let compile_bench () =
+  let t0 = now () in
+  let configs =
+    [
+      (Core.Scheme.Nvp, Core.Mode.Sound);
+      (Core.Scheme.Ratchet, Core.Mode.Sound);
+      (Core.Scheme.Gecko, Core.Mode.Sound);
+      (Core.Scheme.Gecko, Core.Mode.Speculative);
+    ]
+  in
+  let progs = List.map (fun w -> w.W.build ()) W.all in
+  let compiles = List.length progs * List.length configs in
+  let compile ?metrics prog (scheme, mode) =
+    ignore (Core.Pipeline.compile ~mode ?metrics scheme prog)
+  in
+  let sweep () =
+    List.iter (fun prog -> List.iter (compile prog) configs) progs
+  in
+  (* The gauge is unset (NaN) for the schemes that do not colour. *)
+  let rounds =
+    List.fold_left
+      (fun acc prog ->
+        List.fold_left
+          (fun acc c ->
+            let metrics = Gecko_obs.Metrics.create () in
+            compile ~metrics prog c;
+            let r =
+              Gecko_obs.Metrics.gauge_value
+                (Gecko_obs.Metrics.gauge metrics "pipeline.coloring.rounds")
+            in
+            if Float.is_nan r then acc else acc + int_of_float r)
+          acc configs)
+      0 progs
+  in
+  let w0 = Gc.minor_words () in
+  sweep ();
+  let words = Gc.minor_words () -. w0 in
+  let samples = match fidelity with E.Quick -> 9 | E.Full -> 31 in
+  let walls =
+    List.init samples (fun _ ->
+        Gc.full_major ();
+        let s0 = now () in
+        sweep ();
+        now () -. s0)
+  in
+  let median = Gecko_util.Stats.median walls in
+  let q1 = Gecko_util.Stats.percentile 25. walls in
+  let q3 = Gecko_util.Stats.percentile 75. walls in
+  let words_per_compile = words /. float_of_int compiles in
+  Printf.printf
+    "%d compiles per sweep: cold %.4f s median (IQR %.4f-%.4f, %d sweeps), \
+     %.0f minor words per compile, %d colouring rounds\n"
+    compiles median q1 q3 samples words_per_compile rounds;
+  [
+    ("compiles", float_of_int compiles);
+    ("cold_s", median);
+    ("cold_s_q1", q1);
+    ("cold_s_q3", q3);
+    ("minor_words_per_compile", words_per_compile);
+    ("coloring_rounds", float_of_int rounds);
+    ("wall_seconds", now () -. t0);
+  ]
+
 (* Fleet campaign throughput: devices simulated per wall second (and the
    aggregate simulated-instruction rate) on a fixed-seed campaign over
    the shared Workbench pool, once per engine — "fleet" stays the scalar
@@ -396,11 +467,14 @@ let () =
     dispatch_bench ()
     @ List.map (fun (n, v) -> ("sim_instr_per_sec_" ^ n, v)) per_scheme
   in
+  banner "Cold compile latency";
+  let compile_metrics = compile_bench () in
   banner "Fleet campaign throughput";
   let fleet_metrics, lockstep_metrics = fleet_bench () in
   let experiments =
     experiments
     @ [
+        ("compile", compile_metrics);
         ("dispatch", dispatch_metrics);
         ("fleet", fleet_metrics);
         ("lockstep", lockstep_metrics);

@@ -4,7 +4,14 @@
     pruning candidate only when a {e unique} definition reaches the region
     boundary, and the recovery-block slice requires that each source
     operand has the same unique reaching definition at the definition site
-    and at the boundary (value preservation across the gap). *)
+    and at the boundary (value preservation across the gap).
+
+    A definition site is identified by its block and its ordinal among
+    the block's defining instructions, and its point is read off the
+    block's current instruction list at query time.  Inserting an
+    instruction that defines nothing (a region boundary, say) into the
+    graph's blocks therefore leaves a computed [t] exact: later queries
+    see the shifted points. *)
 
 open Gecko_isa
 

@@ -16,10 +16,16 @@ type t = {
   hazards : A.Alias.hazard list;
 }
 
-let compute ?(mode = Mode.default) (p : Cfg.program) =
+let compute ?(mode = Mode.default) ?live ?hazards (p : Cfg.program) =
   let funcs = Array.of_list p.Cfg.funcs in
-  let graphs = Array.map A.Fgraph.of_func funcs in
-  let live = A.Ipliveness.compute p in
+  let live =
+    match live with Some live -> live | None -> A.Ipliveness.compute p
+  in
+  let graphs =
+    Array.map
+      (fun (f : Cfg.func) -> A.Ipliveness.graph live ~fname:f.Cfg.fname)
+      funcs
+  in
   let sites = ref [] in
   Array.iteri
     (fun fi g ->
@@ -51,7 +57,11 @@ let compute ?(mode = Mode.default) (p : Cfg.program) =
      to the historical behaviour); Precise and Speculative upgrade to
      value tracking — Speculative cuts the same hazard set, it only
      relaxes checkpoint pruning downstream. *)
-  let hazards = A.Alias.war_hazards ~domain:(Mode.alias_domain mode) p in
+  let hazards =
+    match hazards with
+    | Some hazards -> hazards
+    | None -> A.Alias.war_hazards ~domain:(Mode.alias_domain mode) p
+  in
   { prog = p; funcs; graphs; sites = List.rev !sites; hazards }
 
 let site t id =

@@ -23,11 +23,21 @@ type t = {
           carries one, and verification rejects the program. *)
 }
 
-val compute : ?mode:Mode.t -> Cfg.program -> t
+val compute :
+  ?mode:Mode.t ->
+  ?live:A.Ipliveness.t ->
+  ?hazards:A.Alias.hazard list ->
+  Cfg.program ->
+  t
 (** [mode] (default [Sound]) selects the hazard verdicts carried in
     {!field-hazards}: [Precise]/[Speculative] use the value-tracking
     alias domain, and [Speculative] reports an empty set (its residual
-    hazards are guarded at run time, so pruning may ignore them). *)
+    hazards are guarded at run time, so pruning may ignore them).
+
+    [live] and [hazards] (default: computed here) supply a prebuilt
+    liveness of [p] and its {!Gecko_analysis.Alias.war_hazards}; the
+    graphs in {!field-graphs} are [live]'s, so every [compute] over one
+    [live] shares them. *)
 
 val site : t -> int -> site
 (** Lookup by boundary id; raises [Not_found]. *)

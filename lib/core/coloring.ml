@@ -99,13 +99,6 @@ let try_color vf (cands : Candidates.t) (decisions : Prune.result) =
            (* Self-loops are odd cycles of length one. *)
            (match List.find_opt (fun (a, b) -> a = b) redges with
            | Some (a, _) ->
-               if Sys.getenv_opt "GECKO_COLOR_DEBUG" <> None then
-                 Printf.eprintf "  self-conflict reg %s edges %s\n%!"
-                   (Reg.to_string r)
-                   (String.concat " "
-                      (List.map
-                         (fun (x, y) -> Printf.sprintf "%d->%d" x y)
-                         redges));
                result := Some (Conflict (r, [ a ], redges));
                raise Exit
            | None -> ());
@@ -146,16 +139,6 @@ let try_color vf (cands : Candidates.t) (decisions : Prune.result) =
                            Queue.add n queue
                        | Some cn ->
                            if cn = cb && n <> b then begin
-                             if Sys.getenv_opt "GECKO_COLOR_DEBUG" <> None
-                             then
-                               Printf.eprintf
-                                 "  bfs-conflict reg %s edge %d-%d edges %s\n%!"
-                                 (Reg.to_string r) b n
-                                 (String.concat " "
-                                    (List.map
-                                       (fun (x, y) ->
-                                         Printf.sprintf "%d->%d" x y)
-                                       redges));
                              result :=
                                Some
                                  (Conflict
@@ -173,7 +156,8 @@ let try_color vf (cands : Candidates.t) (decisions : Prune.result) =
 
 (* Insert a fresh boundary immediately AFTER the boundary with id [bid]:
    that position belongs exclusively to spans originating at [bid], so the
-   insertion lengthens exactly the cycle edges leaving it. *)
+   insertion lengthens exactly the cycle edges leaving it.  Returns the
+   index of the function it went into. *)
 let insert_repair ~next_id (cands : Candidates.t) bid =
   let s = Candidates.site cands bid in
   let g = cands.Candidates.graphs.(s.Candidates.s_func) in
@@ -186,7 +170,8 @@ let insert_repair ~next_id (cands : Candidates.t) bid =
     | [] -> [ Instr.Boundary id ]
     | x :: rest -> x :: go (i + 1) rest
   in
-  blk.Cfg.instrs <- go 0 blk.Cfg.instrs
+  blk.Cfg.instrs <- go 0 blk.Cfg.instrs;
+  s.Candidates.s_func
 
 (* Pick the cycle node to repair after.  The insertion point just after a
    boundary X reroutes exactly the spans leaving X, so the chosen node
@@ -224,9 +209,41 @@ let pick_repair_node edges cycle =
       in
       (match best with Some x -> x | None -> first)
 
-let assign ?(mode = Mode.default) ~next_id ~analyze (p : Cfg.program) =
+(* The analyses one [assign] call keeps across its repair rounds.  A
+   repair inserts only a [Boundary] right after an existing boundary,
+   into a block record the graphs share with [p].  The liveness and the
+   per-function {!Facts} stay exact (see there and
+   {!Gecko_analysis.Ipliveness.live_at}); the repaired function's
+   definition sites are recomputed.  The new boundary sits where the
+   old one already cut every path, so the WAR hazard set is the same up
+   to shifted positions: an empty set stays empty, a non-empty one is
+   recomputed. *)
+type context = {
+  live : A.Ipliveness.t;
+  facts : Facts.t array;  (** per function, as [Candidates.funcs] *)
+  mutable hazards : A.Alias.hazard list;
+}
+
+let context ~mode (p : Cfg.program) =
+  let live = A.Ipliveness.compute p in
+  let graph (f : Cfg.func) = A.Ipliveness.graph live ~fname:f.Cfg.fname in
+  {
+    live;
+    facts = Facts.program p (Array.of_list (List.map graph p.Cfg.funcs));
+    hazards = A.Alias.war_hazards ~domain:(Mode.alias_domain mode) p;
+  }
+
+let repaired ctx ~mode p fi =
+  ctx.facts.(fi) <- Facts.after_boundary ctx.facts.(fi);
+  if ctx.hazards <> [] then
+    ctx.hazards <- A.Alias.war_hazards ~domain:(Mode.alias_domain mode) p
+
+let assign ?(mode = Mode.default) ?metrics ~next_id ~analyze
+    (p : Cfg.program) =
   let repairs : (int, Reg.Set.t) Hashtbl.t = Hashtbl.create 8 in
   let repair_at : (int, int) Hashtbl.t = Hashtbl.create 8 in
+  let ctx = context ~mode p in
+  let facts fi = ctx.facts.(fi) in
   let rec loop round =
     if round > 256 then failwith "Coloring.assign: did not converge";
     (* Decisions are recomputed after every insertion.  A repair boundary
@@ -237,23 +254,18 @@ let assign ?(mode = Mode.default) ~next_id ~analyze (p : Cfg.program) =
        them away (undoing the alternation) nor route another site's
        restore at a slot the repair's own store would clobber inside that
        site's crash window; its other live-ins are treated normally. *)
-    let cands = Candidates.compute ~mode p in
+    let cands = Candidates.compute ~live:ctx.live ~hazards:ctx.hazards p in
     let force_keep bid =
       match Hashtbl.find_opt repairs bid with
       | Some regs -> regs
       | None -> Reg.Set.empty
     in
-    let decisions = analyze ~force_keep p cands in
-    let vf = Valueflow.make p cands in
+    let decisions = analyze ~force_keep ~facts p cands in
+    let vf = Valueflow.make ~facts p cands in
     match try_color vf cands decisions with
-    | Colored colors -> (cands, decisions, colors)
+    | Colored colors -> (round + 1, (cands, decisions, colors))
     | Conflict (reg, cycle, redges) ->
         let node = pick_repair_node redges cycle in
-        if Sys.getenv_opt "GECKO_COLOR_DEBUG" <> None then
-          Printf.eprintf "round %d: reg %s cycle [%s] repair after %d\n%!"
-            round (Reg.to_string reg)
-            (String.concat ";" (List.map string_of_int cycle))
-            node;
         (* Coalesce: several registers self-looping at the same node
            share one repair boundary.  If that repair already hosts this
            register (the cycle involves the repair itself), a fresh
@@ -274,16 +286,15 @@ let assign ?(mode = Mode.default) ~next_id ~analyze (p : Cfg.program) =
         if not coalesced then begin
           Hashtbl.replace repair_at node !next_id;
           Hashtbl.replace repairs !next_id (Reg.Set.singleton reg);
-          insert_repair ~next_id cands node
+          repaired ctx ~mode p (insert_repair ~next_id cands node)
         end;
         loop (round + 1)
   in
-  loop 0
-
-let try_color_debug cands decisions =
-  (* Debug entry without a program handle: rebuild from candidates. *)
-  match try_color (Valueflow.make cands.Candidates.prog cands) cands decisions with
-  | Colored _ -> None
-  | Conflict (_, c, _) -> Some c
-
-let insert_repair_debug = insert_repair
+  let rounds, result = loop 0 in
+  Option.iter
+    (fun reg ->
+      Gecko_obs.Metrics.set_gauge
+        (Gecko_obs.Metrics.gauge reg "pipeline.coloring.rounds")
+        (float_of_int rounds))
+    metrics;
+  result

@@ -33,28 +33,28 @@ val adjacency_for : Candidates.t -> stops:(int -> bool) -> (int * int) list
 
 val assign :
   ?mode:Mode.t ->
+  ?metrics:Gecko_obs.Metrics.registry ->
   next_id:int ref ->
   analyze:
     (force_keep:(int -> Reg.Set.t) ->
+    facts:(int -> Facts.t) ->
     Cfg.program ->
     Candidates.t ->
     Prune.result) ->
   Cfg.program ->
   Candidates.t * Prune.result * t
 (** May insert repair boundaries (mutating the program).  [mode]
-    (default [Sound]) is threaded into the per-round
-    {!Candidates.compute} so hazard verdicts stay consistent with the
-    pipeline's alias domain.  [analyze] is
-    re-run after every insertion, receiving the repair boundaries'
+    (default [Sound]) picks the alias domain of the hazard verdicts
+    carried in the candidates, as for {!Candidates.compute}.  [analyze]
+    is re-run after every insertion, receiving the repair boundaries'
     forced-keep sets, so repair stores are first-class during pruning —
     in particular the reuse pass sees them as unprunable owned stores
-    rather than discovering them after the fact.  Returns the final
-    candidates, decisions and colours.  Raises [Failure] if colouring
-    does not converge. *)
-
-(**/**)
-
-(* Debug hooks for convergence tracing (tests only). *)
-val try_color_debug : Candidates.t -> Prune.result -> int list option
-val insert_repair_debug : next_id:int ref -> Candidates.t -> int -> unit
-val pick_repair_node : (int * int) list -> int list -> int
+    rather than discovering them after the fact — and the per-function
+    facts the call keeps across its rounds (for
+    {!Prune.analyze_with}[ ~facts]).  Liveness, clobber summaries and
+    the per-function {!Facts} are computed once per call; a repair
+    refreshes only the definition sites of the function it went into.
+    Returns the final candidates, decisions and colours, and records the
+    number of rounds (analyses run, the last one colourable) as the
+    [pipeline.coloring.rounds] gauge of [metrics].  Raises [Failure] if
+    colouring does not converge. *)

@@ -86,18 +86,16 @@ let compile ?(budget_cycles = default_budget) ?(prune_slices = true)
             let analyze =
               match scheme with
               | Scheme.Gecko ->
-                  fun ~force_keep p cands ->
+                  fun ~force_keep ~facts p cands ->
                     Prune.analyze_with ~force_keep ~sound
-                      ~speculative:(mode = Mode.Speculative)
+                      ~speculative:(mode = Mode.Speculative) ~facts
                       ~slices:prune_slices ~reuse:prune_reuse p cands
               | Scheme.Gecko_noprune | Scheme.Ratchet | Scheme.Nvp ->
-                  fun ~force_keep _p cands ->
-                    ignore force_keep;
-                    Prune.keep_all cands
+                  fun ~force_keep:_ ~facts:_ _p cands -> Prune.keep_all cands
             in
             let cands, decisions, colors =
               pass "coloring" (fun () ->
-                  Coloring.assign ~mode ~next_id ~analyze p)
+                  Coloring.assign ~mode ?metrics ~next_id ~analyze p)
             in
             pass "emit" (fun () -> Emit.gecko scheme p cands decisions colors)
         | Scheme.Nvp -> assert false

@@ -12,7 +12,9 @@ open Gecko_isa
 
 type t
 
-val make : Cfg.program -> Candidates.t -> t
+val make : ?facts:(int -> Facts.t) -> Cfg.program -> Candidates.t -> t
+(** [facts] (default: {!Facts.program}) supplies each function's definition
+    sites, as for {!Prune.analyze_with}. *)
 
 val same_value_over_edge :
   t -> Reg.t -> src:Candidates.site -> dst:Candidates.site -> bool

@@ -326,6 +326,202 @@ let prop_nonstrict_scan_is_seed =
     (fun (body, idx, m) ->
       A.Alias.last_write_before ~strict:false body idx m = seed_scan body idx m)
 
+(* Boundary insertion leaves the block-level analyses exact.  The
+   colouring pass keeps liveness, clobber summaries, dominators, block
+   reachability and reaching definitions across its repair rounds, each
+   of which inserts one [Boundary]; these properties pin that argument.
+   A source is a Gen_prog seed or, for call/return structure, a
+   workload; [pick] chooses the insertion point. *)
+type source = Generated of int | Workload of string
+
+let source_gen =
+  let open QCheck.Gen in
+  let workloads = Array.of_list Gecko_workloads.Workload.names in
+  pair
+    (frequency
+       [
+         (4, map (fun s -> Generated s) (int_bound 99999));
+         ( 1,
+           map
+             (fun i -> Workload workloads.(i))
+             (int_bound (Array.length workloads - 1)) );
+       ])
+    (int_bound 1_000_000)
+
+let source_arb =
+  QCheck.make source_gen ~print:(fun (src, pick) ->
+      (match src with
+      | Generated s -> Printf.sprintf "Gen_prog %d" s
+      | Workload w -> "workload " ^ w)
+      ^ Printf.sprintf ", pick %d" pick)
+
+(* The program with its regions formed: boundaries present, no WAR
+   hazard left. *)
+let formed src =
+  let p =
+    match src with
+    | Generated s -> Gen_prog.generate s
+    | Workload w ->
+        (Gecko_workloads.Workload.find w).Gecko_workloads.Workload.build ()
+  in
+  let next_id = ref 0 in
+  ignore (Gecko_core.Regions.form ~next_id p);
+  (p, next_id)
+
+(* Every (function, block, idx) point, idx up to the terminator
+   position. *)
+let all_points (p : Cfg.program) =
+  List.concat_map
+    (fun (f : Cfg.func) ->
+      List.concat
+        (List.mapi
+           (fun bi (b : Cfg.block) ->
+             List.init
+               (List.length b.Cfg.instrs + 1)
+               (fun idx -> (f.Cfg.fname, { A.Fgraph.blk = bi; idx })))
+           f.Cfg.blocks))
+    p.Cfg.funcs
+
+let insert_boundary (p : Cfg.program) ~id (fname, (at : A.Fgraph.point)) =
+  let b = List.nth (Cfg.find_func p fname).Cfg.blocks at.A.Fgraph.blk in
+  let before, after =
+    List.partition (fun (i, _) -> i < at.A.Fgraph.idx)
+      (List.mapi (fun i x -> (i, x)) b.Cfg.instrs)
+  in
+  b.Cfg.instrs <- List.map snd before @ (Instr.Boundary id :: List.map snd after)
+
+(* Where a pre-insertion point sits afterwards. *)
+let shifted (fname, (at : A.Fgraph.point)) (fn, (q : A.Fgraph.point)) =
+  if
+    fn = fname
+    && q.A.Fgraph.blk = at.A.Fgraph.blk
+    && q.A.Fgraph.idx >= at.A.Fgraph.idx
+  then { q with A.Fgraph.idx = q.A.Fgraph.idx + 1 }
+  else q
+
+(* The analyses of [p] as they stand: liveness and reaching
+   definitions are objects, queried later at chosen points; the
+   block-level facts are read out at once. *)
+type analyses = {
+  live : A.Ipliveness.t;
+  reaching : string -> A.Reaching.t;
+  clobbers : string -> Reg.Set.t;
+  idoms : string -> int list;
+  reach : string -> bool list;
+}
+
+let analyses (p : Cfg.program) =
+  let live = A.Ipliveness.compute p in
+  let clobbers = A.Clobbers.compute p in
+  let per_func f =
+    let tbl = Hashtbl.create 4 in
+    List.iter
+      (fun (fn : Cfg.func) ->
+        Hashtbl.replace tbl fn.Cfg.fname
+          (f (A.Ipliveness.graph live ~fname:fn.Cfg.fname)))
+      p.Cfg.funcs;
+    Hashtbl.find tbl
+  in
+  let blocks g = List.init (A.Fgraph.n_blocks g) Fun.id in
+  let call_defs = A.Clobbers.of_function clobbers in
+  {
+    live;
+    reaching = per_func (A.Reaching.compute ~call_defs);
+    clobbers = call_defs;
+    idoms =
+      per_func (fun g -> List.map (A.Dom.idom (A.Dom.compute g)) (blocks g));
+    reach =
+      per_func (fun g ->
+          let r = A.Blockreach.compute g in
+          List.concat_map
+            (fun a -> List.map (A.Blockreach.reaches r a) (blocks g))
+            (blocks g));
+  }
+
+(* Live set and per-register reaching definitions at a point. *)
+let at_point (t : analyses) (fname, q) =
+  ( A.Ipliveness.live_at t.live ~fname q,
+    List.map (fun r -> A.Reaching.reaching_at (t.reaching fname) r q) Reg.all )
+
+let same_at (live, defs) (live', defs') =
+  Reg.Set.equal live live'
+  && List.for_all2
+       (fun a b ->
+         List.length a = List.length b
+         && List.for_all2 A.Reaching.def_equal a b)
+       defs defs'
+
+let prop_boundary_invariance =
+  QCheck.Test.make ~count:150
+    ~name:"boundary insertion keeps liveness, clobbers, dom, reach, reaching"
+    source_arb (fun (src, pick) ->
+      let p, next_id = formed src in
+      let points = all_points p in
+      let kept = analyses p in
+      let expected = List.map (at_point kept) points in
+      let at = List.nth points (pick mod List.length points) in
+      let expected_at = at_point kept at in
+      insert_boundary p ~id:!next_id at;
+      let fresh = analyses p in
+      (* Definition points move with the instructions they name. *)
+      let moved fname (live, defs) =
+        ( live,
+          List.map
+            (List.map (function
+              | A.Reaching.Entry -> A.Reaching.Entry
+              | A.Reaching.Site q -> A.Reaching.Site (shifted at (fname, q))))
+            defs )
+      in
+      List.for_all
+        (fun (f : Cfg.func) ->
+          let fname = f.Cfg.fname in
+          Reg.Set.equal (kept.clobbers fname) (fresh.clobbers fname)
+          && kept.idoms fname = fresh.idoms fname
+          && kept.reach fname = fresh.reach fname)
+        p.Cfg.funcs
+      (* Every old point, shifted, sees what it saw before; the new
+         boundary sees what the instruction it displaced saw.  Both the
+         recomputed analyses and the ones computed before the insertion,
+         queried after it (what the colouring pass relies on), agree. *)
+      && List.for_all2
+           (fun ((fname, _) as q) want ->
+             let q' = (fname, shifted at q) in
+             same_at (at_point fresh q') (moved fname want)
+             && same_at (at_point kept q') (moved fname want))
+           points expected
+      && same_at (at_point fresh at) (moved (fst at) expected_at)
+      && same_at (at_point kept at) (moved (fst at) expected_at))
+
+(* A repair goes right after an existing boundary, where every path is
+   already cut, so an empty hazard set stays empty in either alias
+   domain.  (At an arbitrary point a boundary could split a WARAW-exempt
+   store from the load it protects.) *)
+let prop_repair_keeps_hazards_empty =
+  QCheck.Test.make ~count:150
+    ~name:"a boundary right after a boundary keeps war_hazards empty"
+    source_arb (fun (src, pick) ->
+      let p, next_id = formed src in
+      let no_hazards () =
+        A.Alias.war_hazards p = []
+        && A.Alias.war_hazards ~domain:A.Alias.Value p = []
+      in
+      QCheck.assume (no_hazards ());
+      let after_boundaries =
+        List.filter_map
+          (fun (fname, (q : A.Fgraph.point)) ->
+            let blocks = (Cfg.find_func p fname).Cfg.blocks in
+            let b = List.nth blocks q.A.Fgraph.blk in
+            match List.nth_opt b.Cfg.instrs q.A.Fgraph.idx with
+            | Some (Instr.Boundary _) ->
+                Some (fname, { q with A.Fgraph.idx = q.A.Fgraph.idx + 1 })
+            | Some _ | None -> None)
+          (all_points p)
+      in
+      QCheck.assume (after_boundaries <> []);
+      let n = List.length after_boundaries in
+      insert_boundary p ~id:!next_id (List.nth after_boundaries (pick mod n));
+      no_hazards ())
+
 let () =
   Alcotest.run "analysis"
     [
@@ -349,6 +545,12 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_distinct_slots; prop_vrange_sound; prop_nonstrict_scan_is_seed ]
+          [
+            prop_distinct_slots;
+            prop_vrange_sound;
+            prop_nonstrict_scan_is_seed;
+            prop_boundary_invariance;
+            prop_repair_keeps_hazards_empty;
+          ]
       );
     ]
