@@ -68,6 +68,20 @@ let find_workload name =
       Printf.eprintf "unknown workload %s; see `gecko list`\n" name;
       exit 1
 
+(* Pool size: [--jobs], else GECKO_JOBS, else the recommended domain
+   count.  An invalid value of either exits 1 with a message. *)
+let resolve_jobs = function
+  | Some n when n >= 1 -> n
+  | Some n ->
+      Printf.eprintf "--jobs must be >= 1 (got %d)\n" n;
+      exit 1
+  | None -> (
+      match Gecko.Util.Pool.default_jobs () with
+      | n -> n
+      | exception Gecko.Util.Pool.Invalid_jobs msg ->
+          Printf.eprintf "gecko: %s\n" msg;
+          exit 1)
+
 (* --- list ------------------------------------------------------------ *)
 
 let list_cmd =
@@ -448,14 +462,7 @@ let fuzz_cmd =
       Printf.eprintf "--budget must be >= 1 (got %d)\n" budget;
       exit 1
     end;
-    let jobs =
-      match jobs with
-      | Some n when n >= 1 -> n
-      | Some n ->
-          Printf.eprintf "--jobs must be >= 1 (got %d)\n" n;
-          exit 1
-      | None -> Gecko.Util.Pool.default_jobs ()
-    in
+    let jobs = resolve_jobs jobs in
     let p, meta = Compiler.Pipeline.compile ~mode scheme (find_workload name) in
     let image = link_with_guards p meta in
     (* Exploration and fuzzing both want natural checkpoint/rollback
@@ -707,27 +714,10 @@ let fleet_cmd =
             "Force the live stderr progress line (default: on when \
              $(b,--telemetry) is set and stderr is a terminal).")
   in
-  let engine =
-    Arg.(
-      value
-      & opt (enum [ ("lockstep", F.Campaign.Lockstep); ("scalar", F.Campaign.Scalar) ])
-          F.Campaign.default_engine
-      & info [ "engine" ] ~docv:"ENGINE"
-          ~doc:
-            "Shard execution engine: $(b,lockstep) (default) steps batched \
-             windows of devices over the shared pre-decoded program; \
-             $(b,scalar) runs one device at a time.  Reports, snapshots \
-             and telemetry are byte-identical across engines.")
-  in
   let run devices attackers seed jobs duration area shard_size workloads
       schemes power freq out snapshot resume max_shards telemetry_out top_k
-      progress engine =
-    (match jobs with
-    | Some n when n >= 1 -> Gecko.Workbench.set_jobs n
-    | Some n ->
-        Printf.eprintf "--jobs must be >= 1 (got %d)\n" n;
-        exit 1
-    | None -> ());
+      progress =
+    Gecko.Workbench.set_jobs (resolve_jobs jobs);
     let fail_invalid msg =
       Printf.eprintf "gecko fleet: %s\n" msg;
       exit 1
@@ -769,7 +759,7 @@ let fleet_cmd =
     let t0 = Gecko.Util.Clock.now () in
     let r =
       try
-        F.Campaign.run ~engine ?snapshot_path ?resume:resume_state ?max_shards
+        F.Campaign.run ?snapshot_path ?resume:resume_state ?max_shards
           ?telemetry spec
       with Invalid_argument msg -> fail_invalid msg
     in
@@ -825,7 +815,7 @@ let fleet_cmd =
     Term.(
       const run $ devices $ attackers $ seed $ jobs $ duration $ area
       $ shard_size $ workloads $ schemes $ power $ freq $ out $ snapshot
-      $ resume $ max_shards $ telemetry_out $ top_k $ progress $ engine)
+      $ resume $ max_shards $ telemetry_out $ top_k $ progress)
 
 (* --- replay ------------------------------------------------------------ *)
 
@@ -1094,12 +1084,7 @@ let experiment_cmd =
     Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"N" ~doc)
   in
   let run which full jobs =
-    (match jobs with
-    | Some n when n >= 1 -> Gecko.Workbench.set_jobs n
-    | Some n ->
-        Printf.eprintf "--jobs must be >= 1 (got %d)\n" n;
-        exit 1
-    | None -> ());
+    Gecko.Workbench.set_jobs (resolve_jobs jobs);
     let fidelity =
       if full then Gecko.Experiments.Full else Gecko.Experiments.Quick
     in

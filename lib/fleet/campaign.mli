@@ -3,23 +3,22 @@
     The spec elaborates into per-device assignments (one RNG stream per
     device, split from the campaign seed) and one shared {!Field}.
     Devices partition into shards of [spec.shard_size]; each shard runs
-    its devices in id order — under the batched {!Lockstep} engine by
-    default, or the scalar per-device runner — streaming each finished
-    device into the shard accumulator (see {!Shard.acc}; no per-device
-    list is ever materialized), and shards fan out over the shared
-    {!Gecko_harness.Workbench} pool in fixed-size waves.  Compilation
-    goes through the Workbench's process-wide compile cache, so each
-    workload×scheme pair compiles once per process — not once per
-    device.
+    its devices in id order through {!Shard.iter_devices}, streaming
+    each finished device into the shard accumulator (see {!Shard.acc};
+    no per-device list is ever materialized), and shards fan out over
+    the shared {!Gecko_harness.Workbench} pool in fixed-size waves.
+    Compilation goes through the Workbench's process-wide compile cache,
+    so each workload×scheme pair compiles once per process — not once
+    per device.
 
     Reduction folds shard results in shard-id order, so the merged report
-    is byte-identical for any [--jobs], any shard size, and either
-    {!engine}.  After every wave the completed shard results are written
-    to a versioned [gecko.fleet/1] snapshot (write-then-rename); a later
-    invocation with the same spec resumes from it, re-running only the
-    missing shards, and produces the byte-identical report an
-    uninterrupted campaign would have — the fleet simulator itself
-    behaves like an intermittent system. *)
+    is byte-identical for any [--jobs] and any shard size.  After every
+    wave the completed shard results are written to a versioned
+    [gecko.fleet/1] snapshot (write-then-rename); a later invocation
+    with the same spec resumes from it, re-running only the missing
+    shards, and produces the byte-identical report an uninterrupted
+    campaign would have — the fleet simulator itself behaves like an
+    intermittent system. *)
 
 type device = Shard.device = {
   id : int;
@@ -34,42 +33,6 @@ type device = Shard.device = {
 val elaborate : Spec.t -> device array * Field.t
 (** Deterministic: depends only on the spec. *)
 
-val run_device :
-  ?telemetry:Telemetry.config ->
-  spec:Spec.t ->
-  field:Field.t ->
-  device ->
-  Agg.t * Gecko_obs.Metrics.registry * Telemetry.t option
-(** Simulate one device under its local attack schedule; returns its
-    aggregate, its run-metrics registry and — when [telemetry] is given
-    — its single-device telemetry (the device carries a flight recorder
-    for the run; the dump rides in its outlier record if it scores as
-    one). *)
-
-(** {2 Engines}
-
-    A runtime execution strategy — deliberately not part of {!Spec.t}:
-    specs are embedded in reports and snapshots, which must be
-    byte-identical whichever engine produced them.  Both engines run a
-    shard's devices in ascending id order through the same
-    {!Shard.acc}, so their shard results (and hence merged reports,
-    snapshots, and telemetry streams) are byte-identical; the
-    differential test suite pins this. *)
-
-type engine =
-  | Scalar  (** One [Machine.run] per device, serially. *)
-  | Lockstep
-      (** Batched windows of [Machine.Step] handles issued whole-block
-          turns round-robin (see {!Lockstep}). *)
-
-val engine_slug : engine -> string
-(** ["scalar"] / ["lockstep"] (the [--engine] CLI values). *)
-
-val engine_of_slug : string -> engine option
-
-val default_engine : engine
-(** {!Lockstep}. *)
-
 type shard_result = Shard.t = {
   sr_id : int;
   sr_agg : Agg.t;
@@ -83,15 +46,14 @@ type shard_result = Shard.t = {
 }
 
 val run_shard :
-  ?engine:engine ->
   ?telemetry:Telemetry.config ->
   spec:Spec.t ->
   field:Field.t ->
   devices:device array ->
   int ->
   shard_result
-(** Run one shard ([engine] defaults to {!default_engine}); [devices] is
-    the full elaborated array, the shard slice is cut here. *)
+(** Run one shard; [devices] is the full elaborated array, the shard
+    slice is cut here. *)
 
 val shard_to_json : shard_result -> Gecko_obs.Json.t
 val shard_of_json : Gecko_obs.Json.t -> shard_result
@@ -133,21 +95,18 @@ type result = {
 }
 
 val run :
-  ?engine:engine ->
   ?snapshot_path:string ->
   ?resume:Spec.t * shard_result list ->
   ?max_shards:int ->
   ?telemetry:Telemetry.config ->
   Spec.t ->
   result
-(** Run (or continue) a campaign.  [engine] picks the shard execution
-    strategy (default {!default_engine}; results do not depend on it);
-    [snapshot_path] enables per-wave checkpointing; [resume] supplies a
-    loaded snapshot whose spec must equal the requested one (raises
-    [Invalid_argument] otherwise) — the snapshot may have been produced
-    by either engine; [max_shards] bounds how many new shards this
-    invocation runs (for controlled interruption).  Pool width comes
-    from {!Gecko_harness.Workbench.jobs}; results do not depend on it.
+(** Run (or continue) a campaign.  [snapshot_path] enables per-wave
+    checkpointing; [resume] supplies a loaded snapshot whose spec must
+    equal the requested one (raises [Invalid_argument] otherwise);
+    [max_shards] bounds how many new shards this invocation runs (for
+    controlled interruption).  Pool width comes from
+    {!Gecko_harness.Workbench.jobs}; results do not depend on it.
 
     [telemetry] arms the observability layer: every device carries a
     {!Gecko_obs.Flight} recorder, every shard folds a {!Telemetry.t},

@@ -30,11 +30,10 @@ let device_image (d : device) =
   let image, meta, dec = Workbench.decoded_workload d.scheme d.workload ~board in
   (board, image, meta, dec)
 
-(* The one option record every engine shares: the scalar per-device
-   runner, the lockstep batch engine's [Step] handles, and [replay]'s
-   full-forensics re-run differ only in the pure observers ([trace],
-   [flight]), so a device produces bit-identical physics on every
-   path. *)
+(* The one option record every path shares: the shard loop's device
+   runs and [replay]'s full-forensics re-run differ only in the pure
+   observers ([trace], [flight]), so a device produces bit-identical
+   physics on every path. *)
 let device_options ?trace ?flight ~(spec : Spec.t) ~schedule ~reg ~dec
     (d : device) =
   {
@@ -58,16 +57,16 @@ let device_telemetry (c : Telemetry.config) (d : device) ~latencies ~flight agg
     ~scheme:(Spec.scheme_slug d.scheme) ~board:(Spec.board_slug d.board)
     ~x:d.x ~y:d.y ~latencies ~flight agg
 
-(* Outcome -> per-device contribution, shared by both engines so the
-   aggregate a device folds into the shard is computed by exactly one
-   piece of code whatever stepped it. *)
+let device_agg ~schedule ~reg (o : M.outcome) =
+  let gauge name = Metrics.gauge_value (Metrics.gauge reg name) in
+  Agg.of_device ~schedule ~energy_drained_j:(gauge "energy.drained_j")
+    ~energy_sourced_j:(gauge "energy.sourced_j") o
+
+(* Outcome -> per-device contribution: the aggregate a device folds into
+   the shard is computed by exactly this code whatever ran the device. *)
 let device_result ?telemetry ~schedule ~reg ~flight (d : device)
     (o : M.outcome) =
-  let gauge name = Metrics.gauge_value (Metrics.gauge reg name) in
-  let agg =
-    Agg.of_device ~schedule ~energy_drained_j:(gauge "energy.drained_j")
-      ~energy_sourced_j:(gauge "energy.sourced_j") o
-  in
+  let agg = device_agg ~schedule ~reg o in
   let latencies = Agg.detection_latencies ~schedule o in
   let tel =
     Option.map
@@ -80,7 +79,7 @@ let device_result ?telemetry ~schedule ~reg ~flight (d : device)
   in
   (agg, reg, tel)
 
-let run_device_full ?trace ?flight ~(spec : Spec.t) ~field (d : device) =
+let simulate ?trace ?flight ~(spec : Spec.t) ~field (d : device) =
   let schedule = Field.schedule_at field ~x:d.x ~y:d.y in
   let board, image, meta, dec = device_image d in
   let reg = Metrics.create () in
@@ -88,13 +87,11 @@ let run_device_full ?trace ?flight ~(spec : Spec.t) ~field (d : device) =
     M.run ~board ~image ~meta
       (device_options ?trace ?flight ~spec ~schedule ~reg ~dec d)
   in
-  let gauge name = Metrics.gauge_value (Metrics.gauge reg name) in
-  let agg =
-    Agg.of_device ~schedule ~energy_drained_j:(gauge "energy.drained_j")
-      ~energy_sourced_j:(gauge "energy.sourced_j") o
-  in
-  let latencies = Agg.detection_latencies ~schedule o in
-  (o, agg, reg, latencies)
+  (schedule, reg, o)
+
+let run_device_full ?trace ?flight ~spec ~field d =
+  let schedule, reg, o = simulate ?trace ?flight ~spec ~field d in
+  (o, device_agg ~schedule ~reg o, reg, Agg.detection_latencies ~schedule o)
 
 let flight_recorder telemetry =
   Option.map
@@ -102,15 +99,15 @@ let flight_recorder telemetry =
       Gecko_obs.Flight.create ~capacity:c.Telemetry.tel_flight_capacity ())
     telemetry
 
-let run_device ?telemetry ~(spec : Spec.t) ~field (d : device) =
+let run_device ?telemetry ~spec ~field d =
   let flight = flight_recorder telemetry in
-  let schedule = Field.schedule_at field ~x:d.x ~y:d.y in
-  let board, image, meta, dec = device_image d in
-  let reg = Metrics.create () in
-  let o =
-    M.run ~board ~image ~meta (device_options ?flight ~spec ~schedule ~reg ~dec d)
-  in
+  let schedule, reg, o = simulate ?flight ~spec ~field d in
   device_result ?telemetry ~schedule ~reg ~flight d o
+
+(* The one shard loop: one live [Machine] state per call, each device
+   handed to [f] the moment it finishes, in array order. *)
+let iter_devices ?telemetry ~spec ~field devices ~f =
+  Array.iter (fun d -> f d (run_device ?telemetry ~spec ~field d)) devices
 
 (* --- shard results ----------------------------------------------------- *)
 
@@ -162,10 +159,10 @@ let of_json j =
 
 (* --- streaming accumulator --------------------------------------------- *)
 
-(* Devices fold in as they finish — in ascending id order, which both
-   engines guarantee, so the non-associative float adds in [Agg.merge]
-   and the metrics histograms happen in one canonical order and the
-   shard result is byte-identical across engines and pool widths.
+(* Devices fold in as they finish — in ascending id order, which
+   {!iter_devices} guarantees, so the non-associative float adds in
+   [Agg.merge] and the metrics histograms happen in one canonical order
+   and the shard result is byte-identical across pool widths.
    Memory is O(#scheme-groups + #workload-groups + top_k), independent
    of the device count: no per-device list survives the fold. *)
 type acc = {

@@ -1,15 +1,14 @@
-(** The per-shard substrate both fleet engines share: the elaborated
-    device record, the single source of machine options, the
-    outcome-to-aggregate step, the shard result value, and a streaming
-    accumulator that folds devices into the shard monoids the moment
-    they finish.
+(** The per-shard substrate: the elaborated device record, the single
+    source of machine options, the outcome-to-aggregate step, the one
+    shard loop ({!iter_devices}), the shard result value, and a
+    streaming accumulator that folds devices into the shard monoids the
+    moment they finish.
 
-    The invariant every engine must honor: devices fold into an {!acc}
-    in ascending device-id order.  [Agg.merge] and the metrics
-    histograms add floats, and float addition is not associative, so one
-    canonical fold order is what makes shard results — and therefore
-    merged reports and telemetry streams — byte-identical across
-    engines and pool widths. *)
+    The invariant: devices fold into an {!acc} in ascending device-id
+    order.  [Agg.merge] and the metrics histograms add floats, and float
+    addition is not associative, so one canonical fold order is what
+    makes shard results — and therefore merged reports and telemetry
+    streams — byte-identical across pool widths. *)
 
 type device = {
   id : int;
@@ -44,9 +43,9 @@ val device_options :
   dec:Gecko_machine.Decode.t ->
   device ->
   Gecko_machine.Machine.options
-(** The one option record every path shares — scalar runner, lockstep
-    [Step] handles, forensic replay — differing only in the pure
-    observers, so a device's physics is bit-identical on every path. *)
+(** The one option record every path shares — the shard loop, forensic
+    replay — differing only in the pure observers, so a device's physics
+    is bit-identical on every path. *)
 
 val device_telemetry :
   Telemetry.config ->
@@ -65,7 +64,7 @@ val device_result :
   Gecko_machine.Machine.outcome ->
   Agg.t * Gecko_obs.Metrics.registry * Telemetry.t option
 (** Outcome -> the device's shard contribution (aggregate, run metrics,
-    optional telemetry).  Both engines finish a device through here. *)
+    optional telemetry).  Every device run finishes through here. *)
 
 val flight_recorder : Telemetry.config option -> Gecko_obs.Flight.t option
 (** A flight recorder sized per the telemetry config, when armed. *)
@@ -89,7 +88,25 @@ val run_device :
   field:Field.t ->
   device ->
   Agg.t * Gecko_obs.Metrics.registry * Telemetry.t option
-(** The scalar engine's device runner (see {!Campaign.run_device}). *)
+(** Simulate one device under its local attack schedule; returns its
+    aggregate, its run-metrics registry and — when [telemetry] is given
+    — its single-device telemetry (the device carries a flight recorder
+    for the run; the dump rides in its outlier record if it scores as
+    one). *)
+
+val iter_devices :
+  ?telemetry:Telemetry.config ->
+  spec:Spec.t ->
+  field:Field.t ->
+  device array ->
+  f:
+    (device -> Agg.t * Gecko_obs.Metrics.registry * Telemetry.t option -> unit) ->
+  unit
+(** The shard loop: {!run_device} each device of the array in order,
+    calling [f] with its contribution as soon as it finishes.  One
+    device's machine state is live at a time and nothing per device is
+    kept, so memory per finished device is O(1) beyond what [f]
+    retains. *)
 
 (** {2 Shard results} *)
 

@@ -68,7 +68,8 @@ val record_cache_metrics : Gecko_obs.Metrics.registry -> unit
 val jobs : unit -> int
 (** Effective parallelism of the experiment pool: the value given to
     {!set_jobs}, else [GECKO_JOBS], else the runtime's recommended
-    domain count (see {!Gecko_util.Pool.default_jobs}). *)
+    domain count (see {!Gecko_util.Pool.default_jobs}, which raises on
+    an invalid [GECKO_JOBS]). *)
 
 val set_jobs : int -> unit
 (** Fix the experiment pool's size ([>= 1]; 1 means fully serial).

@@ -7,13 +7,18 @@ type t = {
   mutable closed : bool;
 }
 
+exception Invalid_jobs of string
+
 let default_jobs () =
-  match Sys.getenv_opt "GECKO_JOBS" with
+  match Option.map String.trim (Sys.getenv_opt "GECKO_JOBS") with
+  | None | Some "" -> Domain.recommended_domain_count ()
   | Some s -> (
-      match int_of_string_opt (String.trim s) with
+      match int_of_string_opt s with
       | Some n when n >= 1 -> n
-      | Some _ | None -> Domain.recommended_domain_count ())
-  | None -> Domain.recommended_domain_count ()
+      | Some _ | None ->
+          raise
+            (Invalid_jobs
+               (Printf.sprintf "GECKO_JOBS=%S: expected an integer >= 1" s)))
 
 let rec worker_loop t =
   Mutex.lock t.mutex;

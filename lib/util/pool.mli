@@ -18,10 +18,15 @@
 
 type t
 
+exception Invalid_jobs of string
+(** [GECKO_JOBS] is set but is not an integer >= 1.  The message names
+    the variable and its value. *)
+
 val default_jobs : unit -> int
 (** Pool size used when none is given: the [GECKO_JOBS] environment
-    variable if set to a positive integer, otherwise
-    [Domain.recommended_domain_count ()]. *)
+    variable when set, otherwise [Domain.recommended_domain_count ()]
+    (an empty value counts as unset).  Raises {!Invalid_jobs} when the
+    variable holds anything but an integer >= 1. *)
 
 val create : ?jobs:int -> unit -> t
 (** [create ~jobs ()] spawns [jobs - 1] worker domains ([jobs] defaults

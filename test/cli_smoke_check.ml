@@ -134,13 +134,17 @@ let check_telemetry path =
           | None -> ())
         records
 
-(* The cross-engine gate: the lockstep and scalar fleet runs of the same
-   spec must have written byte-identical reports. *)
-let check_engines_agree lockstep scalar =
-  let a = read_file lockstep and b = read_file scalar in
-  if not (String.equal a b) then
-    fail "%s and %s differ: lockstep and scalar engine reports must be \
-          byte-identical" lockstep scalar
+(* Each rejected GECKO_JOBS value gets one error line naming the
+   variable and the value. *)
+let check_jobs_env path =
+  let lines = String.split_on_char '\n' (read_file path) in
+  List.iter
+    (fun v ->
+      let msg =
+        Printf.sprintf "gecko: GECKO_JOBS=%S: expected an integer >= 1" v
+      in
+      if not (List.mem msg lines) then fail "%s: lacks the line %S" path msg)
+    [ "abc"; "0"; "-2" ]
 
 let check_flight path =
   let j = parse path in
@@ -153,21 +157,20 @@ let check_flight path =
 
 let () =
   match Array.to_list Sys.argv with
-  | [ _; trace; metrics; fuzz; runlog; fleet; fleet_scalar; heartbeat;
-      telemetry; flight; replaylog ] ->
+  | [ _; trace; metrics; fuzz; runlog; fleet; heartbeat; telemetry; flight;
+      replaylog; jobs_env ] ->
       check_trace trace;
       check_metrics metrics;
       check_fuzz fuzz;
       check_run_log runlog;
       check_fleet fleet;
-      check_fleet fleet_scalar;
-      check_engines_agree fleet fleet_scalar;
       check_run_log heartbeat;
       check_telemetry telemetry;
       check_flight flight;
       check_run_log replaylog;
+      check_jobs_env jobs_env;
       print_endline "cli smoke artifacts ok"
   | _ ->
       fail
-        "usage: cli_smoke_check TRACE METRICS FUZZ RUNLOG FLEET FLEET_SCALAR \
-         HEARTBEAT TELEMETRY FLIGHT REPLAYLOG"
+        "usage: cli_smoke_check TRACE METRICS FUZZ RUNLOG FLEET HEARTBEAT \
+         TELEMETRY FLIGHT REPLAYLOG JOBS_ENV_ERR"

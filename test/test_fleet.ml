@@ -202,45 +202,44 @@ let report_string spec =
   | Some r -> Json.to_string (Fleet.Report.to_json r)
   | None -> Alcotest.fail "campaign did not complete"
 
-let test_jobs_byte_equality () =
+(* Full 32-device shards, as the CLI runs them. *)
+let fleet_512 =
+  Fleet.Spec.make ~devices:512 ~attackers:2 ~duration:0.004 ~shard_size:32
+    ~seed:13 ~power_dbm:40. ()
+
+let test_jobs_byte_equality spec () =
   let saved = Workbench.jobs () in
   Fun.protect
     ~finally:(fun () -> Workbench.set_jobs saved)
     (fun () ->
       Workbench.set_jobs 1;
-      let serial = report_string small_spec in
+      let serial = report_string spec in
       Workbench.set_jobs 4;
-      let parallel = report_string small_spec in
+      let parallel = report_string spec in
       Alcotest.(check string)
         "jobs=1 and jobs=4 merged reports are byte-identical" serial parallel)
 
-let test_resume_equals_uninterrupted () =
-  let spec =
-    Fleet.Spec.make ~devices:24 ~attackers:1 ~duration:0.02 ~shard_size:4
-      ~seed:11 ()
-  in
+let test_resume_equals_uninterrupted ~max_shards spec () =
   let uninterrupted = report_string spec in
   let snap = Filename.temp_file "gecko_fleet" ".json" in
   Fun.protect
     ~finally:(fun () -> try Sys.remove snap with Sys_error _ -> ())
     (fun () ->
-      let partial =
-        Fleet.Campaign.run ~snapshot_path:snap ~max_shards:2 spec
-      in
+      let partial = Fleet.Campaign.run ~snapshot_path:snap ~max_shards spec in
       Alcotest.(check bool)
         "interrupted campaign yields no report"
         true (partial.Fleet.Campaign.report = None);
       let resume = Fleet.Campaign.load_snapshot snap in
       Alcotest.(check bool)
         "snapshot holds only the completed shards" true
-        (List.length (snd resume) = 2);
+        (List.length (snd resume) = max_shards);
       let resumed = Fleet.Campaign.run ~resume spec in
       Alcotest.(check int)
-        "resume takes the snapshotted shards as done" 2
+        "resume takes the snapshotted shards as done" max_shards
         resumed.Fleet.Campaign.resumed_shards;
       Alcotest.(check int)
         "resume re-runs only the missing devices"
-        (24 - partial.Fleet.Campaign.devices_run)
+        (spec.Fleet.Spec.devices - partial.Fleet.Campaign.devices_run)
         resumed.Fleet.Campaign.devices_run;
       match resumed.Fleet.Campaign.report with
       | None -> Alcotest.fail "resumed campaign did not complete"
@@ -422,13 +421,19 @@ let () =
       ( "campaign",
         [
           Alcotest.test_case "jobs=1 vs jobs=4 byte-equality" `Slow
-            test_jobs_byte_equality;
+            (test_jobs_byte_equality small_spec);
+          Alcotest.test_case "512-device jobs=1 vs jobs=4" `Slow
+            (test_jobs_byte_equality fleet_512);
           Alcotest.test_case "telemetry jobs=1 vs jobs=4 byte-equality" `Slow
             test_telemetry_jobs_byte_equality;
           Alcotest.test_case "replay matches campaign outlier" `Slow
             test_replay_matches_campaign;
           Alcotest.test_case "resume equals uninterrupted" `Slow
-            test_resume_equals_uninterrupted;
+            (test_resume_equals_uninterrupted ~max_shards:2
+               (Fleet.Spec.make ~devices:24 ~attackers:1 ~duration:0.02
+                  ~shard_size:4 ~seed:11 ()));
+          Alcotest.test_case "512-device resume = uninterrupted" `Slow
+            (test_resume_equals_uninterrupted ~max_shards:5 fleet_512);
           Alcotest.test_case "snapshot round-trip" `Quick test_snapshot_roundtrip;
           Alcotest.test_case "elaborate is deterministic" `Quick
             test_elaborate_deterministic;

@@ -64,6 +64,31 @@ let test_stress_many_tasks () =
 let test_default_jobs_positive () =
   Alcotest.(check bool) "default_jobs >= 1" true (Pool.default_jobs () >= 1)
 
+(* An invalid GECKO_JOBS is an error naming the variable and the
+   value, never a silent fall-back to the domain count.  An empty value
+   counts as unset, which is also how the test restores an unset
+   variable. *)
+let test_default_jobs_rejects_invalid_env () =
+  let saved = Option.value ~default:"" (Sys.getenv_opt "GECKO_JOBS") in
+  Fun.protect
+    ~finally:(fun () -> Unix.putenv "GECKO_JOBS" saved)
+    (fun () ->
+      List.iter
+        (fun v ->
+          Unix.putenv "GECKO_JOBS" v;
+          Alcotest.check_raises ("GECKO_JOBS=" ^ v)
+            (Pool.Invalid_jobs
+               (Printf.sprintf "GECKO_JOBS=%S: expected an integer >= 1" v))
+            (fun () -> ignore (Pool.default_jobs ())))
+        [ "abc"; "0"; "-3"; "2x" ];
+      Unix.putenv "GECKO_JOBS" " 3 ";
+      Alcotest.(check int) "GECKO_JOBS=\" 3 \"" 3 (Pool.default_jobs ());
+      Unix.putenv "GECKO_JOBS" "";
+      Alcotest.(check int)
+        "empty GECKO_JOBS = unset"
+        (Domain.recommended_domain_count ())
+        (Pool.default_jobs ()))
+
 (* Workbench.pmap rides on the shared pool; with several distinct
    failures in flight, the one re-raised must be the earliest in INPUT
    order, not completion order.  The earliest failing task is also the
@@ -100,6 +125,8 @@ let () =
           Alcotest.test_case "size 1 = List.map" `Quick test_serial_matches_list_map;
           Alcotest.test_case "stress: many tasks" `Quick test_stress_many_tasks;
           Alcotest.test_case "default jobs" `Quick test_default_jobs_positive;
+          Alcotest.test_case "invalid GECKO_JOBS is an error" `Quick
+            test_default_jobs_rejects_invalid_env;
         ] );
       ( "workbench",
         [
