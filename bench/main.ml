@@ -4,7 +4,7 @@
 
    Fidelity: `GECKO_BENCH=full` runs the sweep densities recorded in
    EXPERIMENTS.md; the default quick mode uses coarser grids and shorter
-   simulated durations (same code paths).
+   simulated durations (same code paths).  Any other value exits 1.
 
    Besides the ASCII report on stdout, the harness writes
    BENCH_results.json (override with GECKO_BENCH_OUT): each experiment's
@@ -22,10 +22,8 @@ let fidelity =
   | Some ("quick" | "") | None -> E.Quick
   | Some other ->
       Printf.eprintf
-        "gecko-bench: unrecognized GECKO_BENCH=%S (expected \"quick\" or \
-         \"full\"); falling back to quick fidelity\n%!"
-        other;
-      E.Quick
+        "gecko-bench: GECKO_BENCH=%S: expected \"quick\" or \"full\"\n%!" other;
+      exit 1
 
 (* Every wall-clock figure that lands in BENCH_results.json comes from
    the process-wide Gecko_util.Clock, pointed here at the OS monotonic
@@ -203,11 +201,12 @@ let sim_instr_per_sec scheme =
 
 (* Dispatch-layer profile: one-time decode cost, how much of the decoded
    stream the superinstruction fuser covered, the resulting interpreter
-   rate and the minor-heap words allocated per simulated instruction,
+   rate and the minor-heap words allocated per simulated instruction —
+   by block dispatch and by the checked step alone ([fast = false]) —
    per workload (all under GECKO, the scheme with the busiest
    instruction stream).  Every minor collection stops all domains of a
-   pool, so the block path is meant to allocate nothing per
-   instruction; CI bounds the allocation figure at 0.5 words. *)
+   pool, so neither path is meant to allocate per instruction; CI bounds
+   both allocation figures at 0.5 words. *)
 let dispatch_bench () =
   let workloads =
     match fidelity with
@@ -242,37 +241,41 @@ let dispatch_bench () =
             decoded = Some dec;
           }
         in
-        let w0 = Gc.minor_words () in
-        let r0 = now () in
-        let o = Gecko_machine.Machine.run ~board ~image ~meta opts in
-        let wall = now () -. r0 in
-        let instrs = float_of_int o.Gecko_machine.Machine.instructions in
-        let words_per_instr =
-          (Gc.minor_words () -. w0) /. Float.max instrs 1.
+        let measure opts =
+          let w0 = Gc.minor_words () in
+          let r0 = now () in
+          let o = Gecko_machine.Machine.run ~board ~image ~meta opts in
+          let wall = now () -. r0 in
+          let instrs = float_of_int o.Gecko_machine.Machine.instructions in
+          ( instrs /. Float.max wall 1e-9,
+            (Gc.minor_words () -. w0) /. Float.max instrs 1. )
         in
-        let ips = instrs /. Float.max wall 1e-9 in
+        let ips, wpi = measure opts in
+        let _, checked_wpi = measure { opts with fast = false } in
         ( name,
           decode_ns,
           Gecko_machine.Decode.fused_share dec,
           ips,
-          words_per_instr ))
+          wpi,
+          checked_wpi ))
       workloads
   in
   let wall = now () -. t0 in
-  Printf.printf "%-14s %14s %12s %14s %14s\n" "workload" "decode ns"
-    "fused share" "sim instr/s" "words/instr";
+  Printf.printf "%-14s %14s %12s %14s %14s %14s\n" "workload" "decode ns"
+    "fused share" "sim instr/s" "words/instr" "checked w/i";
   List.iter
-    (fun (name, decode_ns, share, ips, wpi) ->
-      Printf.printf "%-14s %14.0f %11.0f%% %14.3e %14.3f\n" name decode_ns
-        (100. *. share) ips wpi)
+    (fun (name, decode_ns, share, ips, wpi, checked_wpi) ->
+      Printf.printf "%-14s %14.0f %11.0f%% %14.3e %14.3f %14.3f\n" name
+        decode_ns (100. *. share) ips wpi checked_wpi)
     rows;
   List.concat_map
-    (fun (name, decode_ns, share, ips, wpi) ->
+    (fun (name, decode_ns, share, ips, wpi, checked_wpi) ->
       [
         (name ^ "_decode_ns", decode_ns);
         (name ^ "_fused_share", share);
         (name ^ "_instr_per_sec", ips);
         (name ^ "_minor_words_per_instr", wpi);
+        (name ^ "_checked_minor_words_per_instr", checked_wpi);
       ])
     rows
   @ [ ("wall_seconds", wall) ]

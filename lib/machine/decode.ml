@@ -1,16 +1,16 @@
-(* Pre-decoded instruction stream for the interpreter fast path.
+(* Pre-decoded instruction stream: every slot's operands and cost,
+   resolved once and shared by both of the machine's dispatch paths.
 
    A one-time pass lowers [Link.image] into a flat array of micro-ops
-   with every per-instruction decision the hot loop used to make
-   resolved ahead of time:
+   with every per-instruction decision resolved ahead of time:
 
    - operands are plain ints (register indices, absolute NVM addresses,
      branch-target slots) — no [Link.resolve], no [Reg.to_int], no
      [Cost.instr_cycles] match at run time;
-   - per-slot [dt] (wall advance) and [en] (capacitor drain, including
-     NVM access energy) are precomputed with the *same float expressions*
-     the interpreter evaluates, so a decoded run is bit-identical to an
-     undecoded one;
+   - per-slot [dt] (wall advance), [en] (capacitor drain, including NVM
+     access energy) and [cyc] (cycle count) are the only cost of a slot:
+     the machine's block executor charges exactly these, whether it runs
+     a whole block or, on the checked path, a single slot;
    - straight-line runs between control-flow split points are grouped
      into basic blocks, with per-slot *suffix* energy/time totals so the
      machine can prove, in O(1) at any entry point (jump target, JIT
@@ -21,12 +21,14 @@
      into superinstructions.  A fused op occupies the slot of its first
      constituent; the second slot keeps its own unfused op so control
      may still enter there (a restore or return can land on any slot).
-     Fusion never crosses a block split point.
+     Fusion never crosses a block split point.  [unfused] keeps every
+     slot's own op for the checked path, which retires one instruction
+     per step.
 
    Boundary commits and Halt have data-dependent cost (progress flag,
    restart) and power/mode side effects, so they are "solo" slots: their
-   suffix totals are infinite, which forces the machine back onto the
-   fully-checked single-step path for exactly that instruction.
+   suffix totals are infinite, so the block guard never batches them and
+   the machine runs them through their own handlers.
 
    The decode depends on the *device* timing/energy constants (cycle
    time, energy per cycle, NVM access energies) but not on the
@@ -89,7 +91,8 @@ type mop =
 
 type t = {
   image : Link.image;  (* provenance *)
-  ops : mop array;
+  ops : mop array;  (* fused where a pair allows *)
+  unfused : mop array;  (* each slot's own op, before fusion *)
   dt : float array;  (* wall advance of the slot's own instruction *)
   en : float array;  (* capacitor drain, incl. NVM access energy *)
   cyc : int array;  (* cycle count, for app/instrumentation accounting *)
@@ -104,8 +107,11 @@ type t = {
 
 let solo = function M_boundary _ | M_halt -> true | _ -> false
 
-(* Per-instruction cost triple (cycles, NVM reads, NVM writes) — must
-   agree with what [Machine.exec_op]/[Machine.step_instr] charge. *)
+(* Per-instruction cost triple (cycles, NVM reads, NVM writes).  This is
+   the only statement of an instruction's cost: the machine charges the
+   [dt]/[en]/[cyc] derived from it on every path.  Only the extra work
+   of a region commit (progress flag, undo-log clear), of an undo-log
+   append and of a Halt restart is charged outside it. *)
 let costs = function
   | Link.Op i ->
       let c = Cost.instr_cycles i in
@@ -188,7 +194,8 @@ let decode ~device (image : Link.image) =
     let c, r, w = costs image.Link.code.(i) in
     cyc.(i) <- c;
     (* Exactly the expressions [Machine.spend]/[Machine.nvm_extra]
-       evaluate, so precomputation cannot change a single bit. *)
+       evaluate for the runtime's own work, so an instruction costs the
+       same bits as the frozen per-instruction reference charges. *)
     dt.(i) <- float_of_int c *. cycle_time;
     en.(i) <-
       (float_of_int c *. epc)
@@ -242,6 +249,7 @@ let decode ~device (image : Link.image) =
   done;
   (* Fusion: adjacent pairs inside one block.  The second slot keeps its
      unfused op for mid-block entry. *)
+  let unfused = Array.copy ops in
   let n_fused = ref 0 in
   for i = 0 to n - 2 do
     if blk_end.(i) > i + 1 then begin
@@ -302,6 +310,7 @@ let decode ~device (image : Link.image) =
   {
     image;
     ops;
+    unfused;
     dt;
     en;
     cyc;

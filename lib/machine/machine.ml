@@ -68,9 +68,9 @@ type options = {
   trace : Gecko_obs.Trace.t option;
   metrics : Gecko_obs.Metrics.registry option;
   flight : Gecko_obs.Flight.t option;
-  (* [fast = false] forces the per-instruction checked path everywhere —
-     the pre-decoded block dispatcher is skipped.  Debug/differential
-     aid: outcomes must be identical either way. *)
+  (* [fast = false] takes the checked step everywhere — block dispatch
+     is skipped.  Debug/differential aid: outcomes must be identical
+     either way. *)
   fast : bool;
   (* A cached [Decode.decode] of this image (see Workbench); decoded
      fresh when [None].  Ignored unless it matches the run's image. *)
@@ -983,193 +983,6 @@ let undo_append st addr =
   Nvm.write st.nvm (sys_cell st Link.Cells.sys_undo_count) (count + 1);
   st.undo_count_v <- count + 1
 
-let exec_op st i =
-  let c = Cost.instr_cycles i in
-  let r = Reg.to_int in
-  (match i with
-  | Instr.Li (d, v) ->
-      spend st c ~extra:0.;
-      st.regs.(r d) <- v
-  | Instr.Mov (d, s) ->
-      spend st c ~extra:0.;
-      st.regs.(r d) <- st.regs.(r s)
-  | Instr.Bin (op, d, a, b) ->
-      spend st c ~extra:0.;
-      let bv =
-        match b with Instr.Oreg x -> st.regs.(r x) | Instr.Oimm v -> v
-      in
-      st.regs.(r d) <- Instr.eval_binop op st.regs.(r a) bv
-  | Instr.Ld (d, m) ->
-      spend st c ~extra:(nvm_extra st ~reads:1 ~writes:0);
-      st.regs.(r d) <- Nvm.read st.nvm (Link.resolve st.image m st.regs)
-  | Instr.St (m, s) ->
-      let addr = Link.resolve st.image m st.regs in
-      (* Speculation guard: a slot of this store is marked by the
-         linker, so before clobbering the word we persist its old value
-         in the undo log.  The executing slot is [st.pc - 1]: the fetch
-         already advanced the pc. *)
-      if st.k_has_guards && Array.unsafe_get st.image.Link.guards (st.pc - 1)
-      then undo_append st addr;
-      spend st c ~extra:(nvm_extra st ~reads:0 ~writes:1);
-      Nvm.write st.nvm addr st.regs.(r s)
-  | Instr.In (d, port) ->
-      spend st c ~extra:0.;
-      st.regs.(r d) <- io_in_value st port
-  | Instr.Out (port, s) ->
-      spend st c ~extra:0.;
-      st.io_out_count <- st.io_out_count + 1;
-      if st.opts.record_io then
-        if monitor_is_gecko st then
-          (* Staged, not logged: the record becomes persistent only at
-             the region commit point. *)
-          st.io_staged <- (port, st.regs.(r s)) :: st.io_staged
-        else st.io_log <- (port, st.regs.(r s)) :: st.io_log
-  | Instr.Nop -> spend st c ~extra:0.
-  | Instr.Ckpt (src, colour) ->
-      st.ckpt_stores <- st.ckpt_stores + 1;
-      let addr = gecko_cell st src colour in
-      (* Guarded checkpoint store: this owned store targets a slot some
-         restore reuses without the sound crash-window survival proof,
-         so log the slot's as-of-commit word before overwriting it. *)
-      if st.k_has_guards && Array.unsafe_get st.image.Link.guards (st.pc - 1)
-      then undo_append st addr;
-      spend st c ~extra:(nvm_extra st ~reads:0 ~writes:1);
-      Nvm.write st.nvm addr st.regs.(r src)
-  | Instr.CkptDyn src ->
-      st.ckpt_stores <- st.ckpt_stores + 1;
-      spend st c ~extra:(nvm_extra st ~reads:1 ~writes:1);
-      let parity = Nvm.read st.nvm (sys_cell st Link.Cells.sys_parity) in
-      Nvm.write st.nvm (ratchet_cell st (1 - parity) src) st.regs.(r src)
-  | Instr.LdSlot (d, src, colour) ->
-      spend st c ~extra:(nvm_extra st ~reads:1 ~writes:0);
-      st.regs.(r d) <- Nvm.read st.nvm (gecko_cell st (Reg.of_int src) colour)
-  | Instr.Boundary id ->
-      st.boundary_commits <- st.boundary_commits + 1;
-      spend st c ~extra:(nvm_extra st ~reads:0 ~writes:1);
-      (if st.k_has_guards then begin
-         (* Guarded image: the commit word packs (epoch, id + 1) in one
-            atomic NVM write, so undo entries appended before this
-            commit stop matching the boundary word even when the SAME
-            boundary id commits again (a self-loop region).  The count
-            clear after the commit discards them; a crash in between
-            leaves orphans whose stale tag the replay skips.  The
-            previous epoch comes from the volatile mirror, and the
-            count clear is elided when the log is already empty — the
-            steady-state commit costs exactly its plain-image write. *)
-         let epoch = ((st.boundary_word_v lsr 32) + 1) land 0x3FFFFFFF in
-         let word = (epoch lsl 32) lor (id + 1) in
-         Nvm.write st.nvm (sys_cell st Link.Cells.sys_boundary) word;
-         st.boundary_word_v <- word;
-         if st.undo_count_v > 0 then begin
-           let gc = Cost.nvm_write_cycles in
-           spend st gc ~extra:(nvm_extra st ~reads:0 ~writes:1);
-           st.instrumentation_cycles <- st.instrumentation_cycles + gc;
-           Nvm.write st.nvm (sys_cell st Link.Cells.sys_undo_count) 0;
-           st.undo_count_v <- 0
-         end
-       end
-       else Nvm.write st.nvm (sys_cell st Link.Cells.sys_boundary) (id + 1));
-      flight_note st id "boundary";
-      if not st.progress_written then begin
-        (* Once per power cycle: the detection flag. *)
-        spend st Cost.nvm_write_cycles ~extra:(nvm_extra st ~reads:0 ~writes:1);
-        Nvm.write st.nvm (sys_cell st Link.Cells.sys_progress) 1;
-        st.progress_written <- true
-      end;
-      (match st.meta.Meta.scheme with
-      | Scheme.Ratchet ->
-          let parity = Nvm.read st.nvm (sys_cell st Link.Cells.sys_parity) in
-          Nvm.write st.nvm (sys_cell st Link.Cells.sys_parity) (1 - parity)
-      | Scheme.Gecko | Scheme.Gecko_noprune ->
-          (* Region commit: atomically append the staged io_log records.
-             Both lists are newest-first, so prepending the stage keeps
-             the log in emission order. *)
-          if st.io_staged <> [] then begin
-            flight_note st (List.length st.io_staged) "io_commit";
-            st.io_log <- st.io_staged @ st.io_log;
-            st.io_staged <- []
-          end;
-          let mode' = Policy.on_region_commit st.mode in
-          if st.mode = Policy.Probe && mode' = Policy.Jit_on then begin
-            st.reenables <- st.reenables + 1;
-            record st Ev_reenable
-          end;
-          if mode' <> st.mode then set_mode st mode'
-      | Scheme.Nvp -> ()));
-  (* Progress accounting. *)
-  match i with
-  | Instr.Ckpt _ | Instr.CkptDyn _ | Instr.LdSlot _ | Instr.Boundary _ ->
-      st.instrumentation_cycles <- st.instrumentation_cycles + c
-  | _ ->
-      st.app_cycles <- st.app_cycles + c;
-      account_app_seconds st (float_of_int c *. cycle_time st)
-
-let step_instr st =
-  (* A forced failure at the fetch boundary: the instruction never
-     executes — exactly a power failure between two instructions. *)
-  if consult st S_instr then begin
-    force_power_failure st;
-    brownout st
-  end
-  else begin
-  refresh_attack st;
-  st.instrs <- st.instrs + 1;
-  (match st.image.Link.code.(st.pc) with
-  | Link.Op i ->
-      st.pc <- st.pc + 1;
-      exec_op st i
-  | Link.Ljmp t ->
-      spend st 1 ~extra:0.;
-      st.app_cycles <- st.app_cycles + 1;
-      account_app_seconds st (cycle_time st);
-      st.pc <- t
-  | Link.Lbr (cond, reg, t, e) ->
-      spend st 1 ~extra:0.;
-      st.app_cycles <- st.app_cycles + 1;
-      account_app_seconds st (cycle_time st);
-      st.pc <- (if Instr.eval_cond cond st.regs.(Reg.to_int reg) then t else e)
-  | Link.Lcall (target, ret) ->
-      let c = Cost.term_cycles (Instr.Call ("", "")) in
-      spend st c ~extra:(nvm_extra st ~reads:0 ~writes:1);
-      st.app_cycles <- st.app_cycles + c;
-      account_app_seconds st (float_of_int c *. cycle_time st);
-      let sp = st.regs.(Reg.to_int Reg.sp) in
-      Nvm.write st.nvm (st.image.Link.stack_base + sp) ret;
-      st.regs.(Reg.to_int Reg.sp) <- sp - 1;
-      st.pc <- target
-  | Link.Lret ->
-      let c = Cost.term_cycles Instr.Ret in
-      spend st c ~extra:(nvm_extra st ~reads:1 ~writes:0);
-      st.app_cycles <- st.app_cycles + c;
-      account_app_seconds st (float_of_int c *. cycle_time st);
-      let sp = st.regs.(Reg.to_int Reg.sp) + 1 in
-      st.regs.(Reg.to_int Reg.sp) <- sp;
-      st.pc <- Nvm.read st.nvm (st.image.Link.stack_base + sp)
-  | Link.Lhalt ->
-      spend st 1 ~extra:0.;
-      complete st);
-  if st.tracing && st.ph.time >= st.ph.next_vsample then begin
-    sample_voltage st;
-    st.ph.next_vsample <- st.ph.time +. vsample_period
-  end;
-  if st.powered && not st.stop then begin
-    if Capacitor.voltage st.cap <= st.k_v_off then brownout st
-    else if st.ph.time >= st.ph.next_obs then begin
-      (* Between ADC sampling ticks every observe call returns [None]
-         without touching monitor state, so the calls are skipped
-         wholesale; the comparator kind is latency-sensitive and keeps
-         per-instruction observation ([next_obs] = -inf). *)
-      (match
-         Monitor.observe st.monitor ~time:st.ph.time
-           ~v_true:(Capacitor.voltage st.cap) ~disturbance:st.ph.cur_amp
-       with
-      | Some Monitor.Backup -> handle_backup st
-      | Some Monitor.Wake | None -> ());
-      refresh_obs st
-    end
-  end
-  end
-
 (* --- pre-decoded block dispatcher ------------------------------------ *)
 
 (* One instruction's physics on the fast path: the exact float sequence
@@ -1238,17 +1051,112 @@ let spend_fast st s c =
 let[@inline] cap_energy (cap : Capacitor.t) =
   0.5 *. cap.capacitance *. cap.voltage *. cap.voltage
 
-(* Region commits are the one per-instruction-path op the block
-   dispatcher cannot batch (solo slot, data-dependent cost) yet by far
-   the most frequent slow step: every region boundary of a healthy run
-   lands here.  In the steady state — progress flag already written,
-   nothing staged for commit, policy mode unchanged by the commit — a
-   boundary's cost is exactly its decoded [dt]/[en] (the commit write
-   is already in the decoder's NVM-write count), so the same O(1)
-   guard used for blocks proves the hoisted checks are no-ops and the
-   commit semantics run verbatim.  Any other situation (first boundary
-   of a power cycle, staged io_log records, Probe re-enable, rollback
-   modes) falls back to the fully-checked path untouched. *)
+(* The O(1) dispatch guard: prove that a stretch of slots costing [dt]
+   seconds and [en] joules, run from now, fires none of the
+   per-instruction checks — time limit, attack-window edge, brownout,
+   monitor sample / comparator — so it can run with those checks
+   hoisted out.  The per-slot physics are untouched, so a guarded
+   stretch is bit-identical to the same slots stepped one at a time; the
+   only drift is the [Monitor.observations] count of skipped no-op
+   comparator observes, which nothing reads back.  Suffix totals are one
+   rounded sum while execution accumulates step by step, so every
+   comparison carries a small conservative slack — a spurious failure
+   just falls back to the checked step.  Returns 0 when the stretch may
+   run, 1 when a limit, attack edge, energy floor or monitor sample lands
+   inside it (a shorter prefix may still run), 2 when a comparator
+   monitor cannot be proved quiescent. *)
+let[@inline] guard st dt en =
+  let ph = st.ph in
+  let t_end = ((ph.time +. dt) *. 1.000000000001) +. 1e-18 in
+  if t_end >= st.k_time_limit || t_end >= ph.next_change then 1
+  else
+    let e_need = (en *. 1.000001) +. 1e-18 in
+    let e_rem = cap_energy st.cap -. e_need in
+    if e_rem <= (st.k_e_off *. 1.000001) +. 1e-18 then 1
+    else if t_end < ph.next_obs then 0
+    else if ph.next_obs <> neg_infinity then 1
+    else if
+      (* Comparator monitor: every voltage in the stretch stays above
+         [v_min]; ask the monitor whether all observes at or above it
+         are provably no-ops. *)
+      Monitor.quiescent st.monitor
+        ~v_min:(sqrt (2. *. e_rem /. st.cap.Capacitor.capacitance) *. 0.999999)
+        ~disturbance:ph.cur_amp
+    then 0
+    else 2
+
+(* A region commit: [Boundary id] at slot [pc].  The slot's decoded
+   cost covers the commit-word write; the undo-log clear and the
+   once-per-power-cycle progress flag are charged here when they apply.
+   Both dispatch paths commit through this one function. *)
+let commit st pc id =
+  st.pc <- pc + 1;
+  st.boundary_commits <- st.boundary_commits + 1;
+  spend_fast st pc 0;
+  st.instrumentation_cycles <-
+    st.instrumentation_cycles + Array.unsafe_get st.dec.Decode.cyc pc;
+  (if st.k_has_guards then begin
+     (* Guarded image: the commit word packs (epoch, id + 1) in one
+        atomic NVM write, so undo entries appended before this commit
+        stop matching the boundary word even when the SAME boundary id
+        commits again (a self-loop region).  The count clear after the
+        commit discards them; a crash in between leaves orphans whose
+        stale tag the replay skips.  The previous epoch comes from the
+        volatile mirror, and the count clear is elided when the log is
+        already empty — the steady-state commit costs exactly its
+        plain-image write. *)
+     let epoch = ((st.boundary_word_v lsr 32) + 1) land 0x3FFFFFFF in
+     let word = (epoch lsl 32) lor (id + 1) in
+     Nvm.write st.nvm (sys_cell st Link.Cells.sys_boundary) word;
+     st.boundary_word_v <- word;
+     if st.undo_count_v > 0 then begin
+       let gc = Cost.nvm_write_cycles in
+       spend st gc ~extra:(nvm_extra st ~reads:0 ~writes:1);
+       st.instrumentation_cycles <- st.instrumentation_cycles + gc;
+       Nvm.write st.nvm (sys_cell st Link.Cells.sys_undo_count) 0;
+       st.undo_count_v <- 0
+     end
+   end
+   else Nvm.write st.nvm (sys_cell st Link.Cells.sys_boundary) (id + 1));
+  flight_note st id "boundary";
+  if not st.progress_written then begin
+    (* Once per power cycle: the detection flag. *)
+    spend st Cost.nvm_write_cycles ~extra:(nvm_extra st ~reads:0 ~writes:1);
+    Nvm.write st.nvm (sys_cell st Link.Cells.sys_progress) 1;
+    st.progress_written <- true
+  end;
+  match st.meta.Meta.scheme with
+  | Scheme.Ratchet ->
+      let parity = Nvm.read st.nvm (sys_cell st Link.Cells.sys_parity) in
+      Nvm.write st.nvm (sys_cell st Link.Cells.sys_parity) (1 - parity)
+  | Scheme.Gecko | Scheme.Gecko_noprune ->
+      (* Region commit: atomically append the staged io_log records.
+         Both lists are newest-first, so prepending the stage keeps the
+         log in emission order. *)
+      (match st.io_staged with
+      | [] -> ()
+      | staged ->
+          flight_note st (List.length staged) "io_commit";
+          st.io_log <- staged @ st.io_log;
+          st.io_staged <- []);
+      let mode' = Policy.on_region_commit st.mode in
+      if st.mode = Policy.Probe && mode' = Policy.Jit_on then begin
+        st.reenables <- st.reenables + 1;
+        record st Ev_reenable
+      end;
+      if mode' <> st.mode then set_mode st mode'
+  | Scheme.Nvp -> ()
+
+(* Region commits are solo slots the block dispatcher cannot batch
+   (data-dependent cost) yet by far the most frequent reason to leave
+   it: every region boundary of a healthy run lands here.  In the
+   steady state — progress flag already written, nothing staged for
+   commit, policy mode unchanged by the commit — a boundary's cost is
+   exactly its decoded [dt]/[en], so the same O(1) guard used for
+   blocks proves the per-instruction checks are no-ops around it and
+   [commit] runs without them.  Any other situation (first boundary of
+   a power cycle, staged io_log records, Probe re-enable, rollback
+   modes) takes the fully-checked step. *)
 let try_fast_solo st pc id =
   (* Guarded images pack (epoch, id) into the commit word — free, it is
      the same single NVM write — but a non-empty undo log adds a count
@@ -1261,62 +1169,45 @@ let try_fast_solo st pc id =
          (match st.io_staged with [] -> true | _ :: _ -> false)
          && Policy.on_region_commit st.mode = st.mode
    else false)
-  &&
-  let d = st.dec in
-  let dt = Array.unsafe_get d.Decode.dt pc in
-  let en = Array.unsafe_get d.Decode.en pc in
-  let ph = st.ph in
-  let t_end = ((ph.time +. dt) *. 1.000000000001) +. 1e-18 in
-  if t_end >= st.k_time_limit || t_end >= ph.next_change then false
-  else
-    let e_need = (en *. 1.000001) +. 1e-18 in
-    let e_rem = cap_energy st.cap -. e_need in
-    if e_rem <= (st.k_e_off *. 1.000001) +. 1e-18 then false
-    else
-      let mon_ok =
-        t_end < ph.next_obs
-        || ph.next_obs = neg_infinity
-           && Monitor.quiescent st.monitor
-                ~v_min:
-                  (sqrt (2. *. e_rem /. st.cap.Capacitor.capacitance)
-                  *. 0.999999)
-                ~disturbance:ph.cur_amp
-      in
-      if not mon_ok then false
-      else begin
-        st.boundary_commits <- st.boundary_commits + 1;
-        spend_fast st pc 0;
-        let word =
-          if st.k_has_guards then begin
-            let epoch = ((st.boundary_word_v lsr 32) + 1) land 0x3FFFFFFF in
-            let w = (epoch lsl 32) lor (id + 1) in
-            st.boundary_word_v <- w;
-            w
-          end
-          else id + 1
-        in
-        Nvm.write st.nvm (sys_cell st Link.Cells.sys_boundary) word;
-        flight_note st id "boundary";
-        (match st.meta.Meta.scheme with
-        | Scheme.Ratchet ->
-            let parity = Nvm.read st.nvm (sys_cell st Link.Cells.sys_parity) in
-            Nvm.write st.nvm (sys_cell st Link.Cells.sys_parity) (1 - parity)
-        | Scheme.Nvp | Scheme.Gecko | Scheme.Gecko_noprune -> ());
-        st.instrumentation_cycles <-
-          st.instrumentation_cycles + Array.unsafe_get d.Decode.cyc pc;
-        st.pc <- pc + 1;
-        true
-      end
+  && guard st
+       (Array.unsafe_get st.dec.Decode.dt pc)
+       (Array.unsafe_get st.dec.Decode.en pc)
+     = 0
+  && begin
+    commit st pc id;
+    true
+  end
 
-(* Run the decoded slots [s, endp) with the per-instruction checks
-   hoisted out (the block guard proved them all no-ops).  Register
-   indices come from the decoder, which only emits indices below
-   [Reg.count], so unchecked array access is safe.  The loop is a
-   top-level tail-recursive function taking its arrays as arguments:
-   without flambda a [ref] loop counter lives in memory, while a
-   tail-call argument stays in a register, and a local [let rec] would
-   allocate a closure over them on every block.  Arms that transfer
-   control set [st.pc] and simply do not recurse. *)
+(* The primitive ops fused slots pair up, each written once: charge slot
+   [s]'s decoded cost, then act.  Operand values are passed in, so the
+   second half of a fused pair reads its registers after the first half
+   wrote them. *)
+let[@inline] bin st cyc regs s op d a b =
+  spend_fast st s (Array.unsafe_get cyc s);
+  Array.unsafe_set regs d (Instr.eval_binop op (Array.unsafe_get regs a) b)
+
+let[@inline] load st cyc regs nvm s d addr =
+  spend_fast st s (Array.unsafe_get cyc s);
+  Array.unsafe_set regs d (Nvm.read nvm addr)
+
+let[@inline] store st cyc nvm s addr v =
+  spend_fast st s (Array.unsafe_get cyc s);
+  Nvm.write nvm addr v
+
+let[@inline] branch st cyc s cond v t e =
+  spend_fast st s (Array.unsafe_get cyc s);
+  st.pc <- (if Instr.eval_cond cond v then t else e)
+
+(* Run the decoded slots [s, endp) with the per-instruction checks left
+   to the caller: the block guard proved them all no-ops, or the checked
+   step runs a single slot and makes them after it.  Register indices
+   come from the decoder, which only emits indices below [Reg.count], so
+   unchecked array access is safe.  The loop is a top-level
+   tail-recursive function taking its arrays as arguments: without
+   flambda a [ref] loop counter lives in memory, while a tail-call
+   argument stays in a register, and a local [let rec] would allocate a
+   closure over them on every block.  Arms that transfer control set
+   [st.pc] and simply do not recurse. *)
 let rec exec_slots st ops cyc regs nvm endp s =
   if s >= endp then st.pc <- s
   else
@@ -1330,31 +1221,23 @@ let rec exec_slots st ops cyc regs nvm endp s =
         Array.unsafe_set regs dd (Array.unsafe_get regs sv);
         exec_slots st ops cyc regs nvm endp (s + 1)
     | Decode.M_bin_rr (op, dd, a, b) ->
-        spend_fast st s (Array.unsafe_get cyc s);
-        Array.unsafe_set regs dd
-          (Instr.eval_binop op (Array.unsafe_get regs a)
-             (Array.unsafe_get regs b));
+        bin st cyc regs s op dd a (Array.unsafe_get regs b);
         exec_slots st ops cyc regs nvm endp (s + 1)
     | Decode.M_bin_ri (op, dd, a, v) ->
-        spend_fast st s (Array.unsafe_get cyc s);
-        Array.unsafe_set regs dd
-          (Instr.eval_binop op (Array.unsafe_get regs a) v);
+        bin st cyc regs s op dd a v;
         exec_slots st ops cyc regs nvm endp (s + 1)
     | Decode.M_ld (dd, addr) ->
-        spend_fast st s (Array.unsafe_get cyc s);
-        Array.unsafe_set regs dd (Nvm.read nvm addr);
+        load st cyc regs nvm s dd addr;
         exec_slots st ops cyc regs nvm endp (s + 1)
     | Decode.M_ld_dyn (dd, base, r) ->
-        spend_fast st s (Array.unsafe_get cyc s);
-        Array.unsafe_set regs dd (Nvm.read nvm (base + Array.unsafe_get regs r));
+        load st cyc regs nvm s dd (base + Array.unsafe_get regs r);
         exec_slots st ops cyc regs nvm endp (s + 1)
     | Decode.M_st (addr, sv) ->
-        spend_fast st s (Array.unsafe_get cyc s);
-        Nvm.write nvm addr (Array.unsafe_get regs sv);
+        store st cyc nvm s addr (Array.unsafe_get regs sv);
         exec_slots st ops cyc regs nvm endp (s + 1)
     | Decode.M_st_dyn (base, r, sv) ->
-        spend_fast st s (Array.unsafe_get cyc s);
-        Nvm.write nvm (base + Array.unsafe_get regs r) (Array.unsafe_get regs sv);
+        store st cyc nvm s (base + Array.unsafe_get regs r)
+          (Array.unsafe_get regs sv);
         exec_slots st ops cyc regs nvm endp (s + 1)
     | Decode.M_in (dd, port) ->
         spend_fast st s (Array.unsafe_get cyc s);
@@ -1365,6 +1248,8 @@ let rec exec_slots st ops cyc regs nvm endp s =
         st.io_out_count <- st.io_out_count + 1;
         (if st.opts.record_io then
            if monitor_is_gecko st then
+             (* Staged, not logged: the record becomes persistent only at
+                the region commit point. *)
              st.io_staged <- (port, Array.unsafe_get regs sv) :: st.io_staged
            else st.io_log <- (port, Array.unsafe_get regs sv) :: st.io_log);
         exec_slots st ops cyc regs nvm endp (s + 1)
@@ -1379,6 +1264,7 @@ let rec exec_slots st ops cyc regs nvm endp s =
           st.instrumentation_cycles + Array.unsafe_get cyc s;
         exec_slots st ops cyc regs nvm endp (s + 1)
     | Decode.M_ckptdyn (src, parity_addr, cell_base) ->
+        (* Ratchet double buffer: write the cell of parity (1 - p). *)
         st.ckpt_stores <- st.ckpt_stores + 1;
         spend_fast st s 0;
         let parity = Nvm.read nvm parity_addr in
@@ -1398,9 +1284,7 @@ let rec exec_slots st ops cyc regs nvm endp s =
         spend_fast st s (Array.unsafe_get cyc s);
         st.pc <- t
     | Decode.M_br (cond, r, t, e) ->
-        spend_fast st s (Array.unsafe_get cyc s);
-        st.pc <-
-          (if Instr.eval_cond cond (Array.unsafe_get regs r) then t else e)
+        branch st cyc s cond (Array.unsafe_get regs r) t e
     | Decode.M_call (target, ret) ->
         spend_fast st s (Array.unsafe_get cyc s);
         let spi = Reg.to_int Reg.sp in
@@ -1415,131 +1299,115 @@ let rec exec_slots st ops cyc regs nvm endp s =
         regs.(spi) <- sp;
         st.pc <- Nvm.read nvm (st.image.Link.stack_base + sp)
     | Decode.M_boundary _ | Decode.M_halt ->
-        (* Solo slots never pass the block guard; if control ever lands
+        (* Solo slots never pass the block guard and the checked step
+           runs them through their own handlers; if control ever lands
            here the slot is replayed on the checked path untouched. *)
         st.pc <- s
     | Decode.M_f_ld_op_rr (d1, addr, op, d2, a2, b2) ->
-        spend_fast st s (Array.unsafe_get cyc s);
-        Array.unsafe_set regs d1 (Nvm.read nvm addr);
-        let s1 = s + 1 in
-        spend_fast st s1 (Array.unsafe_get cyc s1);
-        Array.unsafe_set regs d2
-          (Instr.eval_binop op (Array.unsafe_get regs a2)
-             (Array.unsafe_get regs b2));
+        load st cyc regs nvm s d1 addr;
+        bin st cyc regs (s + 1) op d2 a2 (Array.unsafe_get regs b2);
         exec_slots st ops cyc regs nvm endp (s + 2)
     | Decode.M_f_ld_op_ri (d1, addr, op, d2, a2, v) ->
-        spend_fast st s (Array.unsafe_get cyc s);
-        Array.unsafe_set regs d1 (Nvm.read nvm addr);
-        let s1 = s + 1 in
-        spend_fast st s1 (Array.unsafe_get cyc s1);
-        Array.unsafe_set regs d2
-          (Instr.eval_binop op (Array.unsafe_get regs a2) v);
+        load st cyc regs nvm s d1 addr;
+        bin st cyc regs (s + 1) op d2 a2 v;
         exec_slots st ops cyc regs nvm endp (s + 2)
     | Decode.M_f_op_st_rr (op, dd, a, b, addr) ->
-        spend_fast st s (Array.unsafe_get cyc s);
-        Array.unsafe_set regs dd
-          (Instr.eval_binop op (Array.unsafe_get regs a)
-             (Array.unsafe_get regs b));
-        let s1 = s + 1 in
-        spend_fast st s1 (Array.unsafe_get cyc s1);
-        Nvm.write nvm addr (Array.unsafe_get regs dd);
+        bin st cyc regs s op dd a (Array.unsafe_get regs b);
+        store st cyc nvm (s + 1) addr (Array.unsafe_get regs dd);
         exec_slots st ops cyc regs nvm endp (s + 2)
     | Decode.M_f_op_st_ri (op, dd, a, v, addr) ->
-        spend_fast st s (Array.unsafe_get cyc s);
-        Array.unsafe_set regs dd
-          (Instr.eval_binop op (Array.unsafe_get regs a) v);
-        let s1 = s + 1 in
-        spend_fast st s1 (Array.unsafe_get cyc s1);
-        Nvm.write nvm addr (Array.unsafe_get regs dd);
+        bin st cyc regs s op dd a v;
+        store st cyc nvm (s + 1) addr (Array.unsafe_get regs dd);
         exec_slots st ops cyc regs nvm endp (s + 2)
     | Decode.M_f_cmp_br_rr (op, dd, a, b, cond, t, e) ->
-        spend_fast st s (Array.unsafe_get cyc s);
-        Array.unsafe_set regs dd
-          (Instr.eval_binop op (Array.unsafe_get regs a)
-             (Array.unsafe_get regs b));
-        let s1 = s + 1 in
-        spend_fast st s1 (Array.unsafe_get cyc s1);
-        st.pc <-
-          (if Instr.eval_cond cond (Array.unsafe_get regs dd) then t else e)
+        bin st cyc regs s op dd a (Array.unsafe_get regs b);
+        branch st cyc (s + 1) cond (Array.unsafe_get regs dd) t e
     | Decode.M_f_cmp_br_ri (op, dd, a, v, cond, t, e) ->
-        spend_fast st s (Array.unsafe_get cyc s);
-        Array.unsafe_set regs dd
-          (Instr.eval_binop op (Array.unsafe_get regs a) v);
-        let s1 = s + 1 in
-        spend_fast st s1 (Array.unsafe_get cyc s1);
-        st.pc <-
-          (if Instr.eval_cond cond (Array.unsafe_get regs dd) then t else e)
+        bin st cyc regs s op dd a v;
+        branch st cyc (s + 1) cond (Array.unsafe_get regs dd) t e
     | Decode.M_f_lddyn_op_rr (d1, base, r, op, d2, a2, b2) ->
-        spend_fast st s (Array.unsafe_get cyc s);
-        Array.unsafe_set regs d1 (Nvm.read nvm (base + Array.unsafe_get regs r));
-        let s1 = s + 1 in
-        spend_fast st s1 (Array.unsafe_get cyc s1);
-        Array.unsafe_set regs d2
-          (Instr.eval_binop op (Array.unsafe_get regs a2)
-             (Array.unsafe_get regs b2));
+        load st cyc regs nvm s d1 (base + Array.unsafe_get regs r);
+        bin st cyc regs (s + 1) op d2 a2 (Array.unsafe_get regs b2);
         exec_slots st ops cyc regs nvm endp (s + 2)
     | Decode.M_f_lddyn_op_ri (d1, base, r, op, d2, a2, v) ->
-        spend_fast st s (Array.unsafe_get cyc s);
-        Array.unsafe_set regs d1 (Nvm.read nvm (base + Array.unsafe_get regs r));
-        let s1 = s + 1 in
-        spend_fast st s1 (Array.unsafe_get cyc s1);
-        Array.unsafe_set regs d2
-          (Instr.eval_binop op (Array.unsafe_get regs a2) v);
+        load st cyc regs nvm s d1 (base + Array.unsafe_get regs r);
+        bin st cyc regs (s + 1) op d2 a2 v;
         exec_slots st ops cyc regs nvm endp (s + 2)
     | Decode.M_f_op_op_rr_rr (op1, d1, a1, b1, op2, d2, a2, b2) ->
-        spend_fast st s (Array.unsafe_get cyc s);
-        Array.unsafe_set regs d1
-          (Instr.eval_binop op1 (Array.unsafe_get regs a1)
-             (Array.unsafe_get regs b1));
-        let s1 = s + 1 in
-        spend_fast st s1 (Array.unsafe_get cyc s1);
-        Array.unsafe_set regs d2
-          (Instr.eval_binop op2 (Array.unsafe_get regs a2)
-             (Array.unsafe_get regs b2));
+        bin st cyc regs s op1 d1 a1 (Array.unsafe_get regs b1);
+        bin st cyc regs (s + 1) op2 d2 a2 (Array.unsafe_get regs b2);
         exec_slots st ops cyc regs nvm endp (s + 2)
     | Decode.M_f_op_op_rr_ri (op1, d1, a1, b1, op2, d2, a2, v2) ->
-        spend_fast st s (Array.unsafe_get cyc s);
-        Array.unsafe_set regs d1
-          (Instr.eval_binop op1 (Array.unsafe_get regs a1)
-             (Array.unsafe_get regs b1));
-        let s1 = s + 1 in
-        spend_fast st s1 (Array.unsafe_get cyc s1);
-        Array.unsafe_set regs d2
-          (Instr.eval_binop op2 (Array.unsafe_get regs a2) v2);
+        bin st cyc regs s op1 d1 a1 (Array.unsafe_get regs b1);
+        bin st cyc regs (s + 1) op2 d2 a2 v2;
         exec_slots st ops cyc regs nvm endp (s + 2)
     | Decode.M_f_op_op_ri_rr (op1, d1, a1, v1, op2, d2, a2, b2) ->
-        spend_fast st s (Array.unsafe_get cyc s);
-        Array.unsafe_set regs d1
-          (Instr.eval_binop op1 (Array.unsafe_get regs a1) v1);
-        let s1 = s + 1 in
-        spend_fast st s1 (Array.unsafe_get cyc s1);
-        Array.unsafe_set regs d2
-          (Instr.eval_binop op2 (Array.unsafe_get regs a2)
-             (Array.unsafe_get regs b2));
+        bin st cyc regs s op1 d1 a1 v1;
+        bin st cyc regs (s + 1) op2 d2 a2 (Array.unsafe_get regs b2);
         exec_slots st ops cyc regs nvm endp (s + 2)
     | Decode.M_f_op_op_ri_ri (op1, d1, a1, v1, op2, d2, a2, v2) ->
-        spend_fast st s (Array.unsafe_get cyc s);
-        Array.unsafe_set regs d1
-          (Instr.eval_binop op1 (Array.unsafe_get regs a1) v1);
-        let s1 = s + 1 in
-        spend_fast st s1 (Array.unsafe_get cyc s1);
-        Array.unsafe_set regs d2
-          (Instr.eval_binop op2 (Array.unsafe_get regs a2) v2);
+        bin st cyc regs s op1 d1 a1 v1;
+        bin st cyc regs (s + 1) op2 d2 a2 v2;
         exec_slots st ops cyc regs nvm endp (s + 2)
 
 let exec_block st pc endp =
   exec_slots st st.dec.Decode.ops st.dec.Decode.cyc st.regs st.nvm endp pc
 
-(* Block-entry guard: prove that from [pc] to its block end none of the
-   per-instruction checks — time limit, attack-window edge, brownout,
-   monitor sample / comparator — can fire, then run the whole stretch
-   with those checks hoisted out.  The per-instruction physics are
-   untouched, so a fast block is bit-identical to the same slots stepped
-   one at a time; the only drift is the [Monitor.observations] count of
-   skipped no-op comparator observes, which nothing reads back.  The
-   suffix totals are one rounded sum while the loop accumulates step by
-   step, so every comparison carries a small conservative slack — a
-   spurious guard failure just falls back to the checked path. *)
+(* One fully-checked step: the instruction at [st.pc] with every
+   per-instruction check around it.  The instruction itself is its
+   slot's unfused op run through [exec_slots] with a one-slot limit, so
+   both dispatch paths share each op's semantics and decoded cost; only
+   the two solo ops have handlers of their own. *)
+let step_instr st =
+  (* A forced failure at the fetch boundary: the instruction never
+     executes — exactly a power failure between two instructions. *)
+  if consult st S_instr then begin
+    force_power_failure st;
+    brownout st
+  end
+  else begin
+    refresh_attack st;
+    let pc = st.pc in
+    let ops = st.dec.Decode.unfused in
+    (match ops.(pc) with
+    | Decode.M_halt ->
+        spend_fast st pc 0;
+        complete st
+    | Decode.M_boundary id -> commit st pc id
+    | op ->
+        (* Speculation guard: the linker marked this store's slot, so
+           the old value of the word it is about to clobber goes to the
+           undo log first. *)
+        (if st.k_has_guards && Array.unsafe_get st.image.Link.guards pc then
+           match op with
+           | Decode.M_st (addr, _) | Decode.M_ckpt (addr, _) ->
+               undo_append st addr
+           | Decode.M_st_dyn (base, r, _) ->
+               undo_append st (base + Array.unsafe_get st.regs r)
+           | _ -> ());
+        exec_slots st ops st.dec.Decode.cyc st.regs st.nvm (pc + 1) pc);
+    if st.tracing && st.ph.time >= st.ph.next_vsample then begin
+      sample_voltage st;
+      st.ph.next_vsample <- st.ph.time +. vsample_period
+    end;
+    if st.powered && not st.stop then begin
+      if st.cap.Capacitor.voltage <= st.k_v_off then brownout st
+      else if st.ph.time >= st.ph.next_obs then begin
+        (* Between ADC sampling ticks every observe call returns [None]
+           without touching monitor state, so the calls are skipped
+           wholesale; the comparator kind is latency-sensitive and keeps
+           per-instruction observation ([next_obs] = -inf). *)
+        (match
+           Monitor.observe st.monitor ~time:st.ph.time
+             ~v_true:st.cap.Capacitor.voltage ~disturbance:st.ph.cur_amp
+         with
+        | Some Monitor.Backup -> handle_backup st
+        | Some Monitor.Wake | None -> ());
+        refresh_obs st
+      end
+    end
+  end
+
 (* Full-block guard failed (a monitor sample, attack edge, limit or
    low-energy point lands inside the block): batch the longest prefix
    that provably finishes before the earliest such point instead of
@@ -1603,37 +1471,12 @@ let try_fast_block st =
       | Decode.M_boundary id -> try_fast_solo st pc id
       | _ -> false)
     else
-      let ph = st.ph in
-      let t_end =
-        ((ph.time +. Array.unsafe_get d.Decode.dt_sfx pc) *. 1.000000000001)
-        +. 1e-18
-      in
-      if t_end >= st.k_time_limit || t_end >= ph.next_change then
-        try_fast_prefix st pc
-      else
-        let e_need = (e_sfx *. 1.000001) +. 1e-18 in
-        let e_rem = cap_energy st.cap -. e_need in
-        if e_rem <= (st.k_e_off *. 1.000001) +. 1e-18 then
-          try_fast_prefix st pc
-        else if t_end < ph.next_obs then begin
+      match guard st (Array.unsafe_get d.Decode.dt_sfx pc) e_sfx with
+      | 0 ->
           exec_block st pc (Array.unsafe_get d.Decode.blk_end pc);
           true
-        end
-        else if ph.next_obs = neg_infinity then begin
-          (* Comparator monitor: every in-block voltage stays above
-             [v_min]; ask the monitor whether all observes at or above
-             it are provably no-ops. *)
-          let v_min =
-            sqrt (2. *. e_rem /. st.cap.Capacitor.capacitance) *. 0.999999
-          in
-          if Monitor.quiescent st.monitor ~v_min ~disturbance:ph.cur_amp
-          then begin
-            exec_block st pc (Array.unsafe_get d.Decode.blk_end pc);
-            true
-          end
-          else false
-        end
-        else try_fast_prefix st pc
+      | 1 -> try_fast_prefix st pc
+      | _ -> false
 
 let step_sleep st =
   refresh_attack st;

@@ -91,11 +91,13 @@ type options = {
           semantically identical.  [None] (the default) or a disabled
           recorder keeps the plain path. *)
   fast : bool;
-      (** [true] (the default) dispatches through the pre-decoded block
-          stream whenever the block guard holds; [false] forces the
-          per-instruction checked path everywhere.  Outcomes are
-          identical either way — the switch exists for differential
-          tests and debugging. *)
+      (** [true] (the default) runs whole pre-decoded blocks whenever
+          the block guard proves the per-instruction checks idle;
+          [false] takes the checked step everywhere, one instruction at
+          a time with every check.  Both run each instruction through
+          the same decoded slot semantics, so outcomes are identical
+          either way — the switch exists for differential tests and
+          debugging. *)
   decoded : Decode.t option;
       (** A cached {!Decode.decode} of the run's image (see the
           Workbench decode cache).  [None] (the default) decodes at

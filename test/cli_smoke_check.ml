@@ -146,6 +146,12 @@ let check_jobs_env path =
       if not (List.mem msg lines) then fail "%s: lacks the line %S" path msg)
     [ "abc"; "0"; "-2" ]
 
+(* The bench harness rejects an unknown fidelity by name. *)
+let check_bench_env path =
+  let msg = {|gecko-bench: GECKO_BENCH="bogus": expected "quick" or "full"|} in
+  if not (List.mem msg (String.split_on_char '\n' (read_file path))) then
+    fail "%s: lacks the line %S" path msg
+
 let check_flight path =
   let j = parse path in
   (match Json.to_string_opt (need path j "schema") with
@@ -158,7 +164,7 @@ let check_flight path =
 let () =
   match Array.to_list Sys.argv with
   | [ _; trace; metrics; fuzz; runlog; fleet; heartbeat; telemetry; flight;
-      replaylog; jobs_env ] ->
+      replaylog; jobs_env; bench_env ] ->
       check_trace trace;
       check_metrics metrics;
       check_fuzz fuzz;
@@ -169,8 +175,9 @@ let () =
       check_flight flight;
       check_run_log replaylog;
       check_jobs_env jobs_env;
+      check_bench_env bench_env;
       print_endline "cli smoke artifacts ok"
   | _ ->
       fail
         "usage: cli_smoke_check TRACE METRICS FUZZ RUNLOG FLEET HEARTBEAT \
-         TELEMETRY FLIGHT REPLAYLOG JOBS_ENV_ERR"
+         TELEMETRY FLIGHT REPLAYLOG JOBS_ENV_ERR BENCH_ENV_ERR"

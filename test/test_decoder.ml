@@ -361,19 +361,23 @@ let prop_kernel_matches_harvester =
       let reference = H.current h ~time ~v +. (harvest_w /. max v 0.5) in
       Int64.equal (Int64.bits_of_float kernel) (Int64.bits_of_float reference))
 
-(* An injected power failure mid-run (the n-th instruction-fetch site),
-   identically on the fast and the checked interpreter: the decoded
-   dispatcher's rollback/replay must be step-for-step equivalent to the
-   per-instruction path's.  The reference has no injection hooks, so the
-   machine differentials against itself with [fast] flipped. *)
-let prop_injected_failure_fast_vs_checked =
+(* An injected power failure mid-run at the n-th instruction-fetch site.
+   Every fetch consults the injector exactly once and either retires one
+   instruction or, the once it fires, none, so the S_instr consultations
+   must equal [outcome.instructions + 1]: a step that retires an
+   instruction without counting it (or counts one it never ran) breaks
+   the equation.  A second identical run must reproduce the outcome and
+   the final NVM, since fault-injection drivers replay a site by its
+   consultation index. *)
+let prop_injected_failure_counts_fetches =
   QCheck.Test.make ~count:12
-    ~name:"injected mid-run failure: fast path equals checked path"
+    ~name:"injected mid-run failure: fetches = instructions + 1, replays match"
     seed_gen (fun seed ->
       let scheme = scheme_of seed in
       let image, meta = compile scheme seed in
       let board = crashy_board () in
-      let run_with ~fast =
+      let target = 200 + (seed mod 400) in
+      let run () =
         let h =
           M.Machine.Step.start ~board ~image ~meta
             {
@@ -384,11 +388,9 @@ let prop_injected_failure_fast_vs_checked =
               restart_on_halt = true;
               record_io = true;
               record_events = true;
-              fast;
             }
         in
         let fetches = ref 0 in
-        let target = 200 + (seed mod 400) in
         M.Machine.Step.set_injector h
           (Some
              (fun site ->
@@ -400,11 +402,14 @@ let prop_injected_failure_fast_vs_checked =
         while M.Machine.Step.step h do
           ()
         done;
-        (M.Machine.Step.outcome h, M.Machine.Step.nvm_data h)
+        let o = M.Machine.Step.outcome h in
+        (!fetches, o, M.Machine.Step.nvm_data h)
       in
-      let o1, nvm1 = run_with ~fast:true in
-      let o2, nvm2 = run_with ~fast:false in
-      norm o1 = norm o2 && nvm1 = nvm2)
+      let fetches, o1, nvm1 = run () in
+      let _, o2, nvm2 = run () in
+      fetches >= target
+      && fetches = o1.M.Machine.instructions + 1
+      && norm o1 = norm o2 && nvm1 = nvm2)
 
 (* Pure observers (metrics registry, flight recorder) plus an armed but
    always-false injector must leave the fast path's outcome untouched. *)
@@ -463,7 +468,7 @@ let () =
             prop_outage_matches_reference;
             prop_attack_rig_matches_reference;
             prop_kernel_matches_harvester;
-            prop_injected_failure_fast_vs_checked;
+            prop_injected_failure_counts_fetches;
             prop_observers_do_not_perturb;
           ] );
     ]

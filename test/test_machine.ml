@@ -269,18 +269,19 @@ let test_sim_time_cap () =
   Alcotest.(check bool) "cap reached" true (o.M.Machine.sim_time >= 0.2);
   Alcotest.(check bool) "limit not hit" false o.M.Machine.hit_limit
 
-(* Block dispatch allocates nothing per instruction.  Without flambda
-   every float passed to or returned from a call that is not inlined is
-   boxed, so one stray call on the per-instruction path costs several
-   minor words per instruction — and in OCaml 5 every minor collection
-   stops every domain of a fleet pool.  Runs crc32 under GECKO (sound
-   and speculative) on the bench board and on the attack rig with
-   metrics and a flight recorder armed, as a fleet device runs, and
-   bounds the minor words allocated per simulated instruction.  The
-   decode is built outside the measured window, as a fleet device gets
-   it from the workbench cache; what remains per run (state, NVM, the
-   outcome) and per block (guard arithmetic) must stay under the
-   bound. *)
+(* Dispatch allocates nothing per instruction, on the block path and on
+   the checked path alike.  Without flambda every float passed to or
+   returned from a call that is not inlined is boxed, so one stray call
+   on the per-instruction path costs several minor words per
+   instruction — and in OCaml 5 every minor collection stops every
+   domain of a fleet pool.  Runs crc32 under GECKO (sound and
+   speculative) on the bench board and on the attack rig with metrics
+   and a flight recorder armed, as a fleet device runs, once with block
+   dispatch and once checked ([fast = false]), and bounds the minor
+   words allocated per simulated instruction.  The decode is built
+   outside the measured window, as a fleet device gets it from the
+   workbench cache; what remains per run (state, NVM, the outcome) and
+   per block (guard arithmetic) must stay under the bound. *)
 let test_block_path_allocation () =
   let prog =
     (Gecko_workloads.Workload.find "crc32").Gecko_workloads.Workload.build ()
@@ -292,30 +293,38 @@ let test_block_path_allocation () =
       List.iter
         (fun (bname, board) ->
           let decoded = M.Decode.decode ~device:board.M.Board.device image in
-          let opts =
-            {
-              M.Machine.default_options with
-              limit = M.Machine.Sim_time 0.05;
-              max_sim_time = 1.;
-              restart_on_halt = true;
-              record_events = true;
-              metrics = Some (Gecko_obs.Metrics.create ());
-              flight = Some (Gecko_obs.Flight.create ());
-              decoded = Some decoded;
-            }
-          in
-          let w0 = Gc.minor_words () in
-          let o = M.Machine.run ~board ~image ~meta opts in
-          let words = Gc.minor_words () -. w0 in
-          let name = Core.Mode.to_string mode ^ "/" ^ bname in
-          Alcotest.(check bool)
-            (name ^ ": ran a measurable stretch")
-            true
-            (o.M.Machine.instructions >= 10_000);
-          let per_instr = words /. float_of_int o.M.Machine.instructions in
-          if per_instr > 0.5 then
-            Alcotest.failf "%s: %.3f minor words per instruction (bound 0.5)"
-              name per_instr)
+          List.iter
+            (fun fast ->
+              let opts =
+                {
+                  M.Machine.default_options with
+                  limit = M.Machine.Sim_time 0.05;
+                  max_sim_time = 1.;
+                  restart_on_halt = true;
+                  record_events = true;
+                  metrics = Some (Gecko_obs.Metrics.create ());
+                  flight = Some (Gecko_obs.Flight.create ());
+                  fast;
+                  decoded = Some decoded;
+                }
+              in
+              let w0 = Gc.minor_words () in
+              let o = M.Machine.run ~board ~image ~meta opts in
+              let words = Gc.minor_words () -. w0 in
+              let name =
+                Printf.sprintf "%s/%s/%s" (Core.Mode.to_string mode) bname
+                  (if fast then "block" else "checked")
+              in
+              Alcotest.(check bool)
+                (name ^ ": ran a measurable stretch")
+                true
+                (o.M.Machine.instructions >= 10_000);
+              let per_instr = words /. float_of_int o.M.Machine.instructions in
+              if per_instr > 0.5 then
+                Alcotest.failf
+                  "%s: %.3f minor words per instruction (bound 0.5)" name
+                  per_instr)
+            [ true; false ])
         [ ("bench", M.Board.default ()); ("attack_rig", M.Board.attack_rig ()) ])
     [ Core.Mode.Sound; Core.Mode.Speculative ]
 
