@@ -207,15 +207,35 @@ let compile_cmd =
 
 (* --- run -------------------------------------------------------------- *)
 
+(* The one float converter of `gecko run`: a flag value that is not a
+   finite number in [lo, hi] stops the command with exit 1 and a message
+   naming the flag.  The test is written so NaN fails it: a NaN time
+   limit is never reached, and a NaN tone still "runs". *)
+let checked_float ~lo ~hi flag v =
+  if lo <= v && v <= hi then v
+  else begin
+    Printf.eprintf
+      "gecko run: %s: expected a finite number in [%g, %g] (got %g)\n" flag lo
+      hi v;
+    exit 1
+  end
+
 let run_cmd =
   let seconds =
-    Arg.(value & opt float 1.0 & info [ "t"; "time" ] ~doc:"Simulated seconds.")
+    Term.(
+      const (checked_float ~lo:1e-6 ~hi:3600. "--time")
+      $ Arg.(
+          value & opt float 1.0
+          & info [ "t"; "time" ] ~doc:"Simulated seconds."))
   in
   let attack_mhz =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "attack" ] ~docv:"MHZ" ~doc:"Transmit an EMI tone at this frequency.")
+    Term.(
+      const (Option.map (checked_float ~lo:1e-3 ~hi:1e5 "--attack"))
+      $ Arg.(
+          value
+          & opt (some float) None
+          & info [ "attack" ] ~docv:"MHZ"
+              ~doc:"Transmit an EMI tone at this frequency."))
   in
   let outages =
     Arg.(
@@ -223,13 +243,15 @@ let run_cmd =
       & info [ "outages" ] ~doc:"Power through a 1 Hz outage generator instead of a bench supply.")
   in
   let attack_at =
-    Arg.(
-      value & opt float 0.
-      & info [ "attack-at" ] ~docv:"T"
-          ~doc:
-            "Delay the attack onset to T simulated seconds (with --attack): \
-             the run shows normal JIT checkpointing before the attack and \
-             detection/recovery after.")
+    Term.(
+      const (checked_float ~lo:0. ~hi:3600. "--attack-at")
+      $ Arg.(
+          value & opt float 0.
+          & info [ "attack-at" ] ~docv:"T"
+              ~doc:
+                "Delay the attack onset to T simulated seconds (with \
+                 --attack): the run shows normal JIT checkpointing before \
+                 the attack and detection/recovery after."))
   in
   let events =
     Arg.(
@@ -801,11 +823,12 @@ let fleet_cmd =
     | None -> ());
     Printf.printf
       "%d devices in %.2f s wall (%d resumed shards): %.1f devices/s, \
-       %.3e sim instr/s | compile cache %d hits / %d misses\n"
+       %.3e sim instr/s | compile cache %d hits / %d misses | %d simulated \
+       runs\n"
       r.F.Campaign.devices_run wall r.F.Campaign.resumed_shards
       (float_of_int r.F.Campaign.devices_run /. Float.max wall 1e-9)
       (float_of_int r.F.Campaign.instructions_run /. Float.max wall 1e-9)
-      (hits1 - hits0) (misses1 - misses0)
+      (hits1 - hits0) (misses1 - misses0) r.F.Campaign.simulated_runs
   in
   Cmd.v
     (Cmd.info "fleet"

@@ -65,19 +65,18 @@ let merge_groups groups =
   List.iter (fun (k, a) -> Shard.group_add tbl k a) groups;
   Shard.sorted_groups tbl
 
-let shard_devices (spec : Spec.t) (devices : device array) sid =
+let shard_plan (spec : Spec.t) field (devices : device array) sid =
   let lo = sid * spec.Spec.shard_size in
   let hi = min (lo + spec.Spec.shard_size) spec.Spec.devices in
-  Array.sub devices lo (hi - lo)
+  Shard.plan field (Array.sub devices lo (hi - lo))
 
-(* Each shard runs its devices in id order and streams them into the
+(* Each shard runs its plan in id order and streams the devices into the
    shard accumulator the moment they finish — no per-device list
    survives.  The shard result is a pure value; reduction happens later,
    in shard order, whatever the pool width. *)
-let run_shard ?telemetry ~spec ~field ~devices sid =
+let run_shard ?telemetry ~spec ~shared sid plan =
   let acc = Shard.acc_create ?telemetry sid in
-  Shard.iter_devices ?telemetry ~spec ~field (shard_devices spec devices sid)
-    ~f:(Shard.acc_add acc);
+  Shard.iter_devices ?telemetry ~spec ~shared plan ~f:(Shard.acc_add acc);
   Shard.acc_finish acc
 
 let shard_to_json = Shard.to_json
@@ -154,6 +153,7 @@ type result = {
   resumed_shards : int;
   devices_run : int;
   instructions_run : int;
+  simulated_runs : int;
   telemetry : Telemetry.t option;  (* merged in shard-id order *)
 }
 
@@ -253,6 +253,17 @@ let run ?snapshot_path ?resume ?max_shards ?telemetry (spec : Spec.t) =
   let pending =
     match max_shards with Some n -> take n pending | None -> pending
   in
+  (* Every pending device's schedule, once; the unattacked devices of
+     each key then share one run, simulated before the shards. *)
+  let plans =
+    List.map (fun sid -> (sid, shard_plan spec field devices sid)) pending
+  in
+  let shared = Shard.share ?telemetry ~spec (List.map snd plans) in
+  let simulated_runs =
+    List.fold_left
+      (fun n (_, plan) -> n + Shard.own_runs shared plan)
+      (Shard.shared_runs shared) plans
+  in
   let completed = ref resumed in
   let snapshot () =
     match snapshot_path with
@@ -343,7 +354,7 @@ let run ?snapshot_path ?resume ?max_shards ?telemetry (spec : Spec.t) =
     | chunk ->
         let results =
           Workbench.pmap
-            (fun sid -> run_shard ?telemetry ~spec ~field ~devices sid)
+            (fun (sid, plan) -> run_shard ?telemetry ~spec ~shared sid plan)
             chunk
         in
         completed := !completed @ results;
@@ -352,7 +363,7 @@ let run ?snapshot_path ?resume ?max_shards ?telemetry (spec : Spec.t) =
         progress ();
         waves (drop wave todo)
   in
-  waves pending;
+  waves plans;
   if progress_on then prerr_newline ();
   let new_shards =
     (* The freshly-run results are the suffix of [completed]. *)
@@ -396,6 +407,7 @@ let run ?snapshot_path ?resume ?max_shards ?telemetry (spec : Spec.t) =
     resumed_shards = List.length resumed;
     devices_run;
     instructions_run;
+    simulated_runs;
     telemetry = final_telemetry;
   }
 

@@ -2,14 +2,20 @@
 
     The spec elaborates into per-device assignments (one RNG stream per
     device, split from the campaign seed) and one shared {!Field}.
-    Devices partition into shards of [spec.shard_size]; each shard runs
-    its devices in id order through {!Shard.iter_devices}, streaming
-    each finished device into the shard accumulator (see {!Shard.acc};
-    no per-device list is ever materialized), and shards fan out over
-    the shared {!Gecko_harness.Workbench} pool in fixed-size waves.
-    Compilation goes through the Workbench's process-wide compile cache,
-    so each workload×scheme pair compiles once per process — not once
-    per device.
+    Devices partition into shards of [spec.shard_size].  Before any
+    shard runs, {!run} plans every pending device once (its local attack
+    schedule) and simulates one shared run per (workload, scheme, board)
+    key that an unattacked device with a seed-free program has (see
+    {!Shard.share}; the key is exact, so those devices' contributions
+    are bit-identical to runs of their own).  The table is built per
+    invocation and read-only afterwards.  Each shard then runs its plan
+    in id order through {!Shard.iter_devices}, streaming each finished
+    device into the shard accumulator (see {!Shard.acc}; no per-device
+    list is ever materialized), and shards fan out over the shared
+    {!Gecko_harness.Workbench} pool in fixed-size waves.  Compilation
+    goes through the Workbench's process-wide compile cache, so each
+    workload×scheme pair compiles once per process — not once per
+    device.
 
     Reduction folds shard results in shard-id order, so the merged report
     is byte-identical for any [--jobs] and any shard size.  After every
@@ -45,15 +51,19 @@ type shard_result = Shard.t = {
           snapshot so a resumed campaign keeps its outliers. *)
 }
 
+val shard_plan : Spec.t -> Field.t -> device array -> int -> Shard.plan
+(** The plan of one shard; [devices] is the full elaborated array, the
+    shard slice is cut here. *)
+
 val run_shard :
   ?telemetry:Telemetry.config ->
   spec:Spec.t ->
-  field:Field.t ->
-  devices:device array ->
+  shared:Shard.shared ->
   int ->
+  Shard.plan ->
   shard_result
-(** Run one shard; [devices] is the full elaborated array, the shard
-    slice is cut here. *)
+(** Run one shard's plan, taking shared runs from [shared] (built with
+    the same [telemetry]). *)
 
 val shard_to_json : shard_result -> Gecko_obs.Json.t
 val shard_of_json : Gecko_obs.Json.t -> shard_result
@@ -87,8 +97,12 @@ type result = {
   resumed_shards : int;  (** Shards taken from the snapshot, not re-run. *)
   devices_run : int;  (** Devices simulated by this invocation. *)
   instructions_run : int;
-      (** Simulated instructions retired by this invocation (feeds the
-          bench harness's fleet [sim_instr_per_sec]). *)
+      (** Simulated instructions retired by this invocation's devices
+          (feeds the bench harness's fleet [sim_instr_per_sec]); a
+          shared run counts once per device that takes it. *)
+  simulated_runs : int;
+      (** [Machine.run] calls this invocation made: one per attacked or
+          seed-dependent device, plus one per shared run. *)
   telemetry : Telemetry.t option;
       (** Campaign-wide telemetry, merged in shard-id order; present
           when the campaign ran with telemetry. *)

@@ -3,6 +3,8 @@ module Metrics = Gecko_obs.Metrics
 module M = Gecko_machine.Machine
 module Board = Gecko_machine.Board
 module Workbench = Gecko_harness.Workbench
+module Decode = Gecko_machine.Decode
+module Schedule = Gecko_emi.Schedule
 
 type device = {
   id : int;
@@ -79,18 +81,18 @@ let device_result ?telemetry ~schedule ~reg ~flight (d : device)
   in
   (agg, reg, tel)
 
-let simulate ?trace ?flight ~(spec : Spec.t) ~field (d : device) =
-  let schedule = Field.schedule_at field ~x:d.x ~y:d.y in
+let simulate ?trace ?flight ~(spec : Spec.t) ~schedule (d : device) =
   let board, image, meta, dec = device_image d in
   let reg = Metrics.create () in
   let o =
     M.run ~board ~image ~meta
       (device_options ?trace ?flight ~spec ~schedule ~reg ~dec d)
   in
-  (schedule, reg, o)
+  (reg, o)
 
 let run_device_full ?trace ?flight ~spec ~field d =
-  let schedule, reg, o = simulate ?trace ?flight ~spec ~field d in
+  let schedule = Field.schedule_at field ~x:d.x ~y:d.y in
+  let reg, o = simulate ?trace ?flight ~spec ~schedule d in
   (o, device_agg ~schedule ~reg o, reg, Agg.detection_latencies ~schedule o)
 
 let flight_recorder telemetry =
@@ -99,15 +101,98 @@ let flight_recorder telemetry =
       Gecko_obs.Flight.create ~capacity:c.Telemetry.tel_flight_capacity ())
     telemetry
 
-let run_device ?telemetry ~spec ~field d =
-  let flight = flight_recorder telemetry in
-  let schedule, reg, o = simulate ?flight ~spec ~field d in
-  device_result ?telemetry ~schedule ~reg ~flight d o
+(* One finished [Machine.run]: everything [device_result] reads of it. *)
+type run = {
+  outcome : M.outcome;
+  reg : Metrics.registry;
+  flight : Gecko_obs.Flight.t option;
+}
 
-(* The one shard loop: one live [Machine] state per call, each device
-   handed to [f] the moment it finishes, in array order. *)
-let iter_devices ?telemetry ~spec ~field devices ~f =
-  Array.iter (fun d -> f d (run_device ?telemetry ~spec ~field d)) devices
+let run ?telemetry ~spec ~schedule d =
+  let flight = flight_recorder telemetry in
+  let reg, outcome = simulate ?flight ~spec ~schedule d in
+  { outcome; reg; flight }
+
+let finish ?telemetry ~schedule d r =
+  device_result ?telemetry ~schedule ~reg:r.reg ~flight:r.flight d r.outcome
+
+let run_device ?telemetry ~spec ~field d =
+  let schedule = Field.schedule_at field ~x:d.x ~y:d.y in
+  finish ?telemetry ~schedule d (run ?telemetry ~spec ~schedule d)
+
+(* --- shared runs ------------------------------------------------------- *)
+
+type plan = (device * Schedule.t) array
+
+let plan field devices =
+  Array.map (fun d -> (d, Field.schedule_at field ~x:d.x ~y:d.y)) devices
+
+(* The device seed reaches the machine only through its sensor reads, so
+   a program without an [In] slot runs identically at every seed. *)
+let seed_free (dec : Decode.t) =
+  not
+    (Array.exists
+       (function Decode.M_in _ -> true | _ -> false)
+       dec.Decode.unfused)
+
+type key = string * Gecko_core.Scheme.t * Spec.board_kind
+
+type shared = (key, run) Hashtbl.t
+
+let key d = (d.workload, d.scheme, d.board)
+
+let unattacked schedule = Schedule.windows schedule = []
+
+(* Built once, then only read: shards on every domain look runs up
+   concurrently, and [device_result] only reads the registry and the
+   flight recorder it is handed. *)
+let shared_run (shared : shared) (d, schedule) =
+  if unattacked schedule then Hashtbl.find_opt shared (key d) else None
+
+let share ?telemetry ~spec plans =
+  (* The first unattacked device of each key, in id order, stands for
+     them all; its seed is as good as any other's. *)
+  let seen = Hashtbl.create 16 in
+  let reps = ref [] in
+  List.iter
+    (Array.iter (fun (d, schedule) ->
+         if unattacked schedule && not (Hashtbl.mem seen (key d)) then begin
+           Hashtbl.replace seen (key d) ();
+           reps := d :: !reps
+         end))
+    plans;
+  let runs =
+    Workbench.pmap
+      (fun d ->
+        let _, _, _, dec = device_image d in
+        if seed_free dec then
+          Some (key d, run ?telemetry ~spec ~schedule:Schedule.empty d)
+        else None)
+      (List.rev !reps)
+  in
+  let shared = Hashtbl.create 16 in
+  List.iter (Option.iter (fun (k, r) -> Hashtbl.replace shared k r)) runs;
+  shared
+
+let shared_runs = Hashtbl.length
+
+let own_runs shared plan =
+  Array.fold_left
+    (fun n p -> if Option.is_none (shared_run shared p) then n + 1 else n)
+    0 plan
+
+(* The one shard loop: at most one live [Machine] state per call, each
+   device handed to [f] the moment it finishes, in plan order. *)
+let iter_devices ?telemetry ~spec ~shared plan ~f =
+  Array.iter
+    (fun ((d, schedule) as p) ->
+      let r =
+        match shared_run shared p with
+        | Some r -> r
+        | None -> run ?telemetry ~spec ~schedule d
+      in
+      f d (finish ?telemetry ~schedule d r))
+    plan
 
 (* --- shard results ----------------------------------------------------- *)
 

@@ -1,14 +1,25 @@
 (** The per-shard substrate: the elaborated device record, the single
-    source of machine options, the outcome-to-aggregate step, the one
-    shard loop ({!iter_devices}), the shard result value, and a
-    streaming accumulator that folds devices into the shard monoids the
-    moment they finish.
+    source of machine options, the outcome-to-aggregate step, the table
+    of shared runs, the one shard loop ({!iter_devices}), the shard
+    result value, and a streaming accumulator that folds devices into
+    the shard monoids the moment they finish.
 
     The invariant: devices fold into an {!acc} in ascending device-id
     order.  [Agg.merge] and the metrics histograms add floats, and float
     addition is not associative, so one canonical fold order is what
     makes shard results — and therefore merged reports and telemetry
-    streams — byte-identical across pool widths. *)
+    streams — byte-identical across pool widths.
+
+    Shared runs: a device whose local schedule has no attack window and
+    whose decoded program has no [In] slot does not get a run of its
+    own.  It takes the one run its (workload, scheme, board) key got
+    from {!share}.  The key is exact: a machine run reads the image and
+    board (fixed by the key), the schedule (empty), the spec's duration
+    and the device seed, and the seed reaches the machine only through
+    sensor reads, which a program without [In] never makes.  Position
+    and id never reach the machine.  {!device_result} still runs per
+    device, so its aggregate and telemetry carry its own id, position
+    and seed. *)
 
 type device = {
   id : int;
@@ -88,24 +99,54 @@ val run_device :
   field:Field.t ->
   device ->
   Agg.t * Gecko_obs.Metrics.registry * Telemetry.t option
-(** Simulate one device under its local attack schedule; returns its
-    aggregate, its run-metrics registry and — when [telemetry] is given
-    — its single-device telemetry (the device carries a flight recorder
-    for the run; the dump rides in its outlier record if it scores as
-    one). *)
+(** Simulate one device on its own under its local attack schedule;
+    returns its aggregate, its run-metrics registry and — when
+    [telemetry] is given — its single-device telemetry (the device
+    carries a flight recorder for the run; the dump rides in its outlier
+    record if it scores as one).  Never shares a run: this is the
+    reference {!iter_devices} must equal device for device. *)
+
+(** {2 Shared runs} *)
+
+type plan = (device * Gecko_emi.Schedule.t) array
+(** Devices with their local attack schedules, each computed once. *)
+
+val plan : Field.t -> device array -> plan
+
+val seed_free : Gecko_machine.Decode.t -> bool
+(** [true] when the decoded program has no [In] slot, so its runs do
+    not depend on the device seed. *)
+
+type shared
+(** One finished run per (workload, scheme, board) key.  Read-only once
+    built, so shards on any domain may read it concurrently. *)
+
+val share : ?telemetry:Telemetry.config -> spec:Spec.t -> plan list -> shared
+(** Simulate, over the {!Gecko_harness.Workbench} pool, one run for each
+    key that some unattacked device of the plans has, when the key's
+    program is {!seed_free}.  Size O(#workloads × #schemes × #boards),
+    whatever the device count.  Pass the [telemetry] the loop will use:
+    the shared flight recorder is armed from it. *)
+
+val shared_runs : shared -> int
+(** Runs {!share} simulated. *)
+
+val own_runs : shared -> plan -> int
+(** Devices of the plan {!iter_devices} simulates itself. *)
 
 val iter_devices :
   ?telemetry:Telemetry.config ->
   spec:Spec.t ->
-  field:Field.t ->
-  device array ->
+  shared:shared ->
+  plan ->
   f:
     (device -> Agg.t * Gecko_obs.Metrics.registry * Telemetry.t option -> unit) ->
   unit
-(** The shard loop: {!run_device} each device of the array in order,
-    calling [f] with its contribution as soon as it finishes.  One
-    device's machine state is live at a time and nothing per device is
-    kept, so memory per finished device is O(1) beyond what [f]
+(** The shard loop: each device of the plan, in order, takes its shared
+    run or runs on its own, and [f] gets its contribution as soon as it
+    is known — byte-identical to {!run_device} of the device.  At most
+    one device's machine state is live at a time and nothing per device
+    is kept, so memory per finished device is O(1) beyond what [f]
     retains. *)
 
 (** {2 Shard results} *)

@@ -44,16 +44,24 @@ let validate t =
   let fail fmt = Printf.ksprintf (fun m -> invalid_arg ("Fleet.Spec: " ^ m)) fmt in
   if t.devices < 1 then fail "devices must be >= 1 (got %d)" t.devices;
   if t.attackers < 0 then fail "attackers must be >= 0 (got %d)" t.attackers;
-  if t.duration <= 0. then fail "duration must be positive (got %g)" t.duration;
-  if t.area_m <= 0. then fail "area must be positive (got %g)" t.area_m;
+  (* Written as [lo <= v && v <= hi] so NaN fails it too; the upper
+     bounds keep every campaign finite (a huge duration or area, or an
+     infinite one, would simulate or draw waypoints without end). *)
+  let within what ~lo ~hi unit v =
+    if not (lo <= v && v <= hi) then
+      fail "%s must be a finite number in [%g, %g] %s (got %g)" what lo hi
+        unit v
+  in
+  within "duration" ~lo:1e-6 ~hi:10. "s" t.duration;
+  within "area" ~lo:1. ~hi:1e4 "m" t.area_m;
   if t.shard_size < 1 then fail "shard size must be >= 1 (got %d)" t.shard_size;
   if t.workload_mix = [] then fail "workload mix is empty";
   if t.scheme_mix = [] then fail "scheme mix is empty";
   if t.board_mix = [] then fail "board mix is empty";
-  if t.freq_mhz <= 0. then fail "frequency must be positive (got %g)" t.freq_mhz;
-  if t.attacker_speed_mps < 0. then
-    fail "attacker speed must be >= 0 (got %g)" t.attacker_speed_mps;
-  if t.range_m <= 0. then fail "range must be positive (got %g)" t.range_m;
+  within "frequency" ~lo:1e-3 ~hi:1e5 "MHz" t.freq_mhz;
+  within "power" ~lo:(-100.) ~hi:100. "dBm" t.power_dbm;
+  within "attacker speed" ~lo:0. ~hi:1e3 "m/s" t.attacker_speed_mps;
+  within "range" ~lo:1e-3 ~hi:1e4 "m" t.range_m;
   if t.field_steps < 1 then fail "field steps must be >= 1 (got %d)" t.field_steps;
   List.iter
     (fun w ->

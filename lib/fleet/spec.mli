@@ -54,7 +54,11 @@ val make :
     unknown workload names). *)
 
 val validate : t -> t
-(** Raises [Invalid_argument] if any field is out of range. *)
+(** Raises [Invalid_argument] if any field is out of range.  Every float
+    field must be a finite number inside its range: duration
+    [\[1e-6, 10\]] s, area [\[1, 1e4\]] m, frequency [\[1e-3, 1e5\]] MHz,
+    power [\[-100, 100\]] dBm, attacker speed [\[0, 1e3\]] m/s, range
+    [\[1e-3, 1e4\]] m. *)
 
 val shards : t -> int
 (** Number of shards the campaign partitions into. *)

@@ -134,23 +134,46 @@ let check_telemetry path =
           | None -> ())
         records
 
+(* [path] holds every line of [msgs]. *)
+let check_lines path msgs =
+  let lines = String.split_on_char '\n' (read_file path) in
+  List.iter
+    (fun msg ->
+      if not (List.mem msg lines) then fail "%s: lacks the line %S" path msg)
+    msgs
+
 (* Each rejected GECKO_JOBS value gets one error line naming the
    variable and the value. *)
 let check_jobs_env path =
-  let lines = String.split_on_char '\n' (read_file path) in
-  List.iter
-    (fun v ->
-      let msg =
-        Printf.sprintf "gecko: GECKO_JOBS=%S: expected an integer >= 1" v
-      in
-      if not (List.mem msg lines) then fail "%s: lacks the line %S" path msg)
-    [ "abc"; "0"; "-2" ]
+  check_lines path
+    (List.map
+       (Printf.sprintf "gecko: GECKO_JOBS=%S: expected an integer >= 1")
+       [ "abc"; "0"; "-2" ])
 
 (* The bench harness rejects an unknown fidelity by name. *)
 let check_bench_env path =
-  let msg = {|gecko-bench: GECKO_BENCH="bogus": expected "quick" or "full"|} in
-  if not (List.mem msg (String.split_on_char '\n' (read_file path))) then
-    fail "%s: lacks the line %S" path msg
+  check_lines path
+    [ {|gecko-bench: GECKO_BENCH="bogus": expected "quick" or "full"|} ]
+
+(* Each rejected float flag gets one error line naming it and its
+   value. *)
+let check_run_float path =
+  check_lines path
+    [
+      "gecko run: --time: expected a finite number in [1e-06, 3600] (got nan)";
+      "gecko run: --attack: expected a finite number in [0.001, 100000] (got \
+       nan)";
+    ]
+
+let check_fleet_spec path =
+  let spec = "gecko fleet: Fleet.Spec: " in
+  check_lines path
+    [
+      spec ^ "duration must be a finite number in [1e-06, 10] s (got nan)";
+      spec ^ "duration must be a finite number in [1e-06, 10] s (got 1e+09)";
+      spec ^ "area must be a finite number in [1, 10000] m (got inf)";
+      spec ^ "power must be a finite number in [-100, 100] dBm (got nan)";
+    ]
 
 let check_flight path =
   let j = parse path in
@@ -164,7 +187,7 @@ let check_flight path =
 let () =
   match Array.to_list Sys.argv with
   | [ _; trace; metrics; fuzz; runlog; fleet; heartbeat; telemetry; flight;
-      replaylog; jobs_env; bench_env ] ->
+      replaylog; jobs_env; bench_env; run_float; fleet_spec ] ->
       check_trace trace;
       check_metrics metrics;
       check_fuzz fuzz;
@@ -176,8 +199,11 @@ let () =
       check_run_log replaylog;
       check_jobs_env jobs_env;
       check_bench_env bench_env;
+      check_run_float run_float;
+      check_fleet_spec fleet_spec;
       print_endline "cli smoke artifacts ok"
   | _ ->
       fail
         "usage: cli_smoke_check TRACE METRICS FUZZ RUNLOG FLEET HEARTBEAT \
-         TELEMETRY FLIGHT REPLAYLOG JOBS_ENV_ERR BENCH_ENV_ERR"
+         TELEMETRY FLIGHT REPLAYLOG JOBS_ENV_ERR BENCH_ENV_ERR RUN_FLOAT_ERR \
+         FLEET_SPEC_ERR"

@@ -326,7 +326,9 @@ let test_snapshot_roundtrip () =
     Fleet.Spec.make ~devices:8 ~duration:0.01 ~shard_size:4 ~seed:3 ()
   in
   let devices, field = Fleet.Campaign.elaborate spec in
-  let sr = Fleet.Campaign.run_shard ~spec ~field ~devices 0 in
+  let plan = Fleet.Campaign.shard_plan spec field devices 0 in
+  let shared = Fleet.Shard.share ~spec [ plan ] in
+  let sr = Fleet.Campaign.run_shard ~spec ~shared 0 plan in
   let json = Fleet.Campaign.snapshot_json spec [ sr ] in
   let spec', shards' = Fleet.Campaign.parse_snapshot (Json.to_string json) in
   Alcotest.(check bool) "spec round-trips" true (Fleet.Spec.equal spec spec');
@@ -377,6 +379,40 @@ let test_spec_rejects_nonsense () =
       ("empty workload mix", { base with Fleet.Spec.workload_mix = [] });
       ("unknown workload", { base with Fleet.Spec.workload_mix = [ "nope" ] });
       ("empty scheme mix", { base with Fleet.Spec.scheme_mix = [] });
+      ("NaN duration", { base with Fleet.Spec.duration = Float.nan });
+      ("huge duration", { base with Fleet.Spec.duration = 1e9 });
+      ("infinite area", { base with Fleet.Spec.area_m = Float.infinity });
+      ("NaN power", { base with Fleet.Spec.power_dbm = Float.nan });
+      ( "-inf frequency",
+        { base with Fleet.Spec.freq_mhz = Float.neg_infinity } );
+      ("NaN speed", { base with Fleet.Spec.attacker_speed_mps = Float.nan });
+      ("infinite range", { base with Fleet.Spec.range_m = Float.infinity });
+    ]
+
+(* `gecko replay` loads specs from JSON: out-of-range floats there are
+   rejected by the same check. *)
+let test_spec_json_rejects_out_of_range () =
+  let json = Fleet.Spec.to_json (Fleet.Spec.make ~devices:4 ~seed:1 ()) in
+  let with_field k v =
+    match json with
+    | Json.Assoc kvs ->
+        Json.Assoc
+          (List.map (fun (k', v') -> (k', if k' = k then v else v')) kvs)
+    | _ -> Alcotest.fail "spec JSON is not an object"
+  in
+  List.iter
+    (fun (k, v) ->
+      Alcotest.(check bool)
+        (k ^ " out of range is rejected")
+        true
+        (match Fleet.Spec.of_json (with_field k v) with
+        | _ -> false
+        | exception Invalid_argument _ -> true))
+    [
+      ("duration_s", Json.Float 1e9);
+      ("area_m", Json.Float 1e300);
+      ("power_dbm", Json.Float (-1e6));
+      ("attacker_speed_mps", Json.Float 1e12);
     ]
 
 (* --- heartbeat.gasm round-trip --------------------------------------- *)
@@ -443,6 +479,8 @@ let () =
           Alcotest.test_case "JSON round-trip" `Quick test_spec_json_roundtrip;
           Alcotest.test_case "validation rejects nonsense" `Quick
             test_spec_rejects_nonsense;
+          Alcotest.test_case "JSON with out-of-range floats is rejected"
+            `Quick test_spec_json_rejects_out_of_range;
         ] );
       ( "asm",
         [

@@ -1,6 +1,7 @@
 (* The fleet shard loop: every device's contribution inside a shard equals
-   a run of that device on its own, and a 50k-device shard streams
-   through O(1) live memory per finished device.
+   a run of that device on its own (shared runs included), a campaign
+   equals those isolated runs folded in id order, and a 50k-device shard
+   streams through O(1) live memory per finished device.
 
    Equality is byte for byte, not approximate: campaign reports are
    folded floats and any divergence compounds. *)
@@ -13,6 +14,11 @@ module Spec = Fleet.Spec
 module Json = Gecko_obs.Json
 module Metrics = Gecko_obs.Metrics
 module Scheme = Gecko_core.Scheme
+module Workbench = Gecko_harness.Workbench
+module M = Gecko_machine.Machine
+module B = Gecko_isa.Builder
+module Reg = Gecko_isa.Reg
+module Instr = Gecko_isa.Instr
 
 (* --- random campaign specs ------------------------------------------- *)
 
@@ -87,7 +93,9 @@ let prop_loop_per_device =
       let n = Array.length devices in
       let expected = Array.map result_string isolated in
       let order = ref [] and looped = Array.make n "" in
-      Shard.iter_devices ~telemetry:tel_config ~spec ~field devices
+      let plan = Shard.plan field devices in
+      let shared = Shard.share ~telemetry:tel_config ~spec [ plan ] in
+      Shard.iter_devices ~telemetry:tel_config ~spec ~shared plan
         ~f:(fun d r ->
           order := d.Shard.id :: !order;
           looped.(d.Shard.id) <- result_string r);
@@ -103,10 +111,187 @@ let prop_loop_whole_shard =
       let folded = Shard.acc_create ~telemetry:tel_config 0 in
       Array.iteri (fun i r -> Shard.acc_add folded devices.(i) r) isolated;
       let shard_json sr = Json.to_string (Campaign.shard_to_json sr) in
+      let plan = Campaign.shard_plan spec field devices 0 in
+      let shared = Shard.share ~telemetry:tel_config ~spec [ plan ] in
       let shard =
-        Campaign.run_shard ~telemetry:tel_config ~spec ~field ~devices 0
+        Campaign.run_shard ~telemetry:tel_config ~spec ~shared 0 plan
       in
       String.equal (shard_json shard) (shard_json (Shard.acc_finish folded)))
+
+(* --- shared runs -------------------------------------------------------- *)
+
+(* Mixes small enough that (workload, scheme, board) keys repeat, with
+   0, 1 or 2 attackers, so every spec has shared and attacked devices in
+   varying proportions, over several shards. *)
+let shared_spec_gen =
+  QCheck.Gen.(
+    let* devices = int_range 8 20 in
+    let* attackers = int_range 0 2 in
+    let* seed = int_range 0 9999 in
+    let* shard_size = int_range 3 7 in
+    let* workload_mix = subset_gen [ "crc16"; "fir"; "blink" ] in
+    let* scheme_mix = subset_gen [ Scheme.Nvp; Scheme.Gecko ] in
+    let* board_mix = subset_gen board_pool in
+    let* power_dbm = map float_of_int (int_range 25 45) in
+    return
+      (Spec.make ~devices ~attackers ~seed ~duration:0.006 ~shard_size
+         ~workload_mix ~scheme_mix ~board_mix ~power_dbm ()))
+
+let shared_spec_arb =
+  QCheck.make ~print:(fun s -> Json.to_string (Spec.to_json s)) shared_spec_gen
+
+let report_json (r : Campaign.result) =
+  match r.Campaign.report with
+  | Some rep -> Json.to_string (Fleet.Report.to_json rep)
+  | None -> "incomplete"
+
+let telemetry_json (r : Campaign.result) =
+  match r.Campaign.telemetry with
+  | Some t -> Json.to_string (Telemetry.to_json t)
+  | None -> "-"
+
+(* The isolated runs folded the way a campaign folds them: devices into
+   shards in id order, shards merged in shard order. *)
+let folded_campaign spec devices isolated =
+  let size = spec.Spec.shard_size in
+  let shards =
+    List.init (Spec.shards spec) (fun sid ->
+        let acc = Shard.acc_create ~telemetry:tel_config sid in
+        for id = sid * size to min ((sid + 1) * size) spec.Spec.devices - 1 do
+          Shard.acc_add acc devices.(id) isolated.(id)
+        done;
+        Shard.acc_finish acc)
+  in
+  let telemetry =
+    match List.filter_map (fun sr -> sr.Shard.sr_telemetry) shards with
+    | [] -> "-"
+    | t :: ts ->
+        Json.to_string (Telemetry.to_json (List.fold_left Telemetry.merge t ts))
+  in
+  ( Json.to_string
+      (Fleet.Report.to_json (Campaign.report_of_shards spec shards)),
+    telemetry )
+
+(* Machine runs a campaign over the given devices must make: one per
+   attacked device plus one per distinct key of the unattacked ones
+   (every workload of the mixes above is seed-free). *)
+let expected_runs field devices =
+  let keys = Hashtbl.create 8 in
+  let attacked =
+    Array.fold_left
+      (fun n (d : Shard.device) ->
+        let schedule =
+          Fleet.Field.schedule_at field ~x:d.Shard.x ~y:d.Shard.y
+        in
+        if Gecko_emi.Schedule.n_windows schedule > 0 then n + 1
+        else begin
+          Hashtbl.replace keys
+            (d.Shard.workload, d.Shard.scheme, d.Shard.board) ();
+          n
+        end)
+      0 devices
+  in
+  attacked + Hashtbl.length keys
+
+let with_jobs jobs f =
+  let saved = Workbench.jobs () in
+  Fun.protect ~finally:(fun () -> Workbench.set_jobs saved) (fun () ->
+      Workbench.set_jobs jobs;
+      f ())
+
+(* A campaign — at 1 and 4 jobs, and interrupted then resumed — equals
+   the isolated runs folded in id order, report and telemetry alike, and
+   simulates each distinct unattacked run once. *)
+let prop_campaign_shared =
+  QCheck.Test.make ~count:10 ~name:"campaign with shared runs = isolated runs"
+    shared_spec_arb (fun spec ->
+      let devices, field, isolated = isolated_runs spec in
+      let expected = folded_campaign spec devices isolated in
+      let run ?snapshot_path ?resume ?max_shards () =
+        Campaign.run ?snapshot_path ?resume ?max_shards ~telemetry:tel_config
+          spec
+      in
+      let same r = (report_json r, telemetry_json r) = expected in
+      let full_runs = expected_runs field devices in
+      let whole jobs =
+        with_jobs jobs (fun () ->
+            let r = run () in
+            same r && r.Campaign.simulated_runs = full_runs)
+      in
+      let resumed () =
+        let snap = Filename.temp_file "gecko_shared" ".json" in
+        Fun.protect
+          ~finally:(fun () -> try Sys.remove snap with Sys_error _ -> ())
+          (fun () ->
+            let max_shards = max 1 (Spec.shards spec / 2) in
+            let first = run ~snapshot_path:snap ~max_shards () in
+            let cut =
+              min spec.Spec.devices (max_shards * spec.Spec.shard_size)
+            in
+            let r = run ~resume:(Campaign.load_snapshot snap) () in
+            first.Campaign.simulated_runs
+            = expected_runs field (Array.sub devices 0 cut)
+            && r.Campaign.simulated_runs
+               = expected_runs field
+                   (Array.sub devices cut (spec.Spec.devices - cut))
+            && same r)
+      in
+      whole 1 && whole 4 && resumed ())
+
+(* A sensor-reading program: the spin count, and so the instructions a
+   run retires, depends on each sample the device seed draws. *)
+let sensor_program () =
+  let b = B.program "shard_test_sensor" in
+  let out = B.space b "out" ~words:1 () in
+  B.func b "main";
+  B.block b "entry";
+  B.li b Reg.r0 0;
+  B.io_in b Reg.r1 0;
+  B.bin b Instr.And Reg.r1 Reg.r1 (B.imm 63);
+  B.add b Reg.r1 Reg.r1 (B.imm 1);
+  B.block b "spin" ~loop_bound:64;
+  B.add b Reg.r0 Reg.r0 (B.imm 1);
+  B.bin b Instr.Slt Reg.r3 Reg.r0 (B.reg Reg.r1);
+  B.br b Instr.Nz Reg.r3 "spin" "fin";
+  B.block b "fin";
+  B.st b (B.at out 0) Reg.r0;
+  B.halt b;
+  B.finish b
+
+(* A program with an [In] slot is never shared: its runs differ from
+   seed to seed, so it is not seed-free, while every catalogued fleet
+   workload is. *)
+let test_in_slot_never_shared () =
+  let board = Shard.board_of Spec.Attack_rig in
+  let spec = Spec.make ~devices:2 ~attackers:0 ~duration:0.01 ~seed:1 () in
+  let image, meta, dec =
+    Workbench.decoded Scheme.Gecko (sensor_program ()) ~board
+  in
+  Alcotest.(check bool) "sensor program is not seed-free" false
+    (Shard.seed_free dec);
+  let instructions seed =
+    let d =
+      { Shard.id = 0; workload = "crc16"; scheme = Scheme.Gecko;
+        board = Spec.Attack_rig; x = 0.; y = 0.; seed }
+    in
+    let o =
+      M.run ~board ~image ~meta
+        (Shard.device_options ~spec ~schedule:Gecko_emi.Schedule.empty
+           ~reg:(Metrics.create ()) ~dec d)
+    in
+    o.M.instructions
+  in
+  Alcotest.(check bool) "two seeds, two different runs" true
+    (instructions 1 <> instructions 2);
+  List.iter
+    (fun w ->
+      List.iter
+        (fun s ->
+          let _, _, dec = Workbench.decoded_workload s w ~board in
+          Alcotest.(check bool)
+            (w ^ " is seed-free") true (Shard.seed_free dec))
+        scheme_pool)
+    Gecko_workloads.Workload.names
 
 (* --- streaming-memory regression -------------------------------------- *)
 
@@ -133,7 +318,9 @@ let test_streaming_memory_bound () =
     if !reference = 0 then reference := live
     else worst_growth := max !worst_growth (live - !reference)
   in
-  Shard.iter_devices ~spec ~field devices ~f:(fun d r ->
+  let plan = Shard.plan field devices in
+  let shared = Shard.share ~spec [ plan ] in
+  Shard.iter_devices ~spec ~shared plan ~f:(fun d r ->
       Shard.acc_add acc d r;
       incr finished;
       if !finished mod 5_000 = 0 then sample ());
@@ -155,6 +342,12 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_loop_per_device;
           QCheck_alcotest.to_alcotest prop_loop_whole_shard;
+        ] );
+      ( "shared runs",
+        [
+          QCheck_alcotest.to_alcotest prop_campaign_shared;
+          Alcotest.test_case "a program with an In slot is never shared" `Quick
+            test_in_slot_never_shared;
         ] );
       ( "memory",
         [
