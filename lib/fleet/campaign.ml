@@ -264,6 +264,11 @@ let run ?snapshot_path ?resume ?max_shards ?telemetry (spec : Spec.t) =
       (fun n (_, plan) -> n + Shard.own_runs shared plan)
       (Shard.shared_runs shared) plans
   in
+  let borrowed =
+    List.fold_left
+      (fun n (_, plan) -> n + Shard.borrowed_instructions shared plan)
+      0 plans
+  in
   let completed = ref resumed in
   let snapshot () =
     match snapshot_path with
@@ -372,8 +377,13 @@ let run ?snapshot_path ?resume ?max_shards ?telemetry (spec : Spec.t) =
   let devices_run =
     List.fold_left (fun n sr -> n + sr.sr_agg.Agg.devices) 0 new_shards
   in
+  (* Each shared run's instructions count once, however many devices
+     take it: the figure is what the interpreter retired. *)
   let instructions_run =
-    List.fold_left (fun n sr -> n + sr.sr_agg.Agg.instructions) 0 new_shards
+    List.fold_left
+      (fun n sr -> n + sr.sr_agg.Agg.instructions)
+      (Shard.shared_instructions shared - borrowed)
+      new_shards
   in
   let all_done = List.length !completed = total in
   let final_telemetry = telemetry_of_shards !completed in

@@ -97,9 +97,10 @@ type result = {
   resumed_shards : int;  (** Shards taken from the snapshot, not re-run. *)
   devices_run : int;  (** Devices simulated by this invocation. *)
   instructions_run : int;
-      (** Simulated instructions retired by this invocation's devices
+      (** Instructions this invocation's [Machine.run] calls retired
           (feeds the bench harness's fleet [sim_instr_per_sec]); a
-          shared run counts once per device that takes it. *)
+          shared run counts once, however many devices take it, so the
+          figure is the interpreter's work, not the fleet's. *)
   simulated_runs : int;
       (** [Machine.run] calls this invocation made: one per attacked or
           seed-dependent device, plus one per shared run. *)

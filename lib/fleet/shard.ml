@@ -181,6 +181,17 @@ let own_runs shared plan =
     (fun n p -> if Option.is_none (shared_run shared p) then n + 1 else n)
     0 plan
 
+let shared_instructions (shared : shared) =
+  Hashtbl.fold (fun _ r n -> n + r.outcome.M.instructions) shared 0
+
+let borrowed_instructions shared plan =
+  Array.fold_left
+    (fun n p ->
+      match shared_run shared p with
+      | Some r -> n + r.outcome.M.instructions
+      | None -> n)
+    0 plan
+
 (* The one shard loop: at most one live [Machine] state per call, each
    device handed to [f] the moment it finishes, in plan order. *)
 let iter_devices ?telemetry ~spec ~shared plan ~f =

@@ -134,6 +134,13 @@ val shared_runs : shared -> int
 val own_runs : shared -> plan -> int
 (** Devices of the plan {!iter_devices} simulates itself. *)
 
+val shared_instructions : shared -> int
+(** Instructions the runs of {!share} retired, each run counted once. *)
+
+val borrowed_instructions : shared -> plan -> int
+(** Instructions the aggregates of the plan's sharing devices carry from
+    a shared run rather than from a run of their own. *)
+
 val iter_devices :
   ?telemetry:Telemetry.config ->
   spec:Spec.t ->

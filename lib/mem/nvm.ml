@@ -10,17 +10,19 @@ type t = {
    masked dynamic indices, and the per-access cost matters because the
    simulator touches NVM on the instruction hot path.  Unchecked mode
    still cannot corrupt memory — OCaml's own array bounds check remains
-   and raises a plain [Invalid_argument] instead. *)
-let default_checked =
-  lazy
-    (match Sys.getenv_opt "GECKO_CHECKED" with
-    | Some ("1" | "true" | "yes" | "on") -> true
-    | Some _ | None -> false)
+   and raises a plain [Invalid_argument] instead.  The variable is read
+   at every [create], not cached: machines are created concurrently on
+   every pool domain, and a lazy value forced by two domains at once
+   raises [CamlinternalLazy.Undefined]. *)
+let default_checked () =
+  match Sys.getenv_opt "GECKO_CHECKED" with
+  | Some ("1" | "true" | "yes" | "on") -> true
+  | Some _ | None -> false
 
 let create ?checked ~words () =
   if words <= 0 then invalid_arg "Nvm.create: words must be positive";
   let checked =
-    match checked with Some c -> c | None -> Lazy.force default_checked
+    match checked with Some c -> c | None -> default_checked ()
   in
   { data = Array.make words 0; checked; reads = 0; writes = 0 }
 

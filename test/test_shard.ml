@@ -172,26 +172,27 @@ let folded_campaign spec devices isolated =
       (Fleet.Report.to_json (Campaign.report_of_shards spec shards)),
     telemetry )
 
-(* Machine runs a campaign over the given devices must make: one per
-   attacked device plus one per distinct key of the unattacked ones
-   (every workload of the mixes above is seed-free). *)
-let expected_runs field devices =
+(* Machine runs a campaign over devices [lo, hi) must make, and the
+   instructions they retire: one run per attacked device plus one per
+   distinct key of the unattacked ones (every workload of the mixes
+   above is seed-free), each run's instructions counted once. *)
+let expected_work field devices isolated lo hi =
   let keys = Hashtbl.create 8 in
-  let attacked =
-    Array.fold_left
-      (fun n (d : Shard.device) ->
-        let schedule =
-          Fleet.Field.schedule_at field ~x:d.Shard.x ~y:d.Shard.y
-        in
-        if Gecko_emi.Schedule.n_windows schedule > 0 then n + 1
-        else begin
-          Hashtbl.replace keys
-            (d.Shard.workload, d.Shard.scheme, d.Shard.board) ();
-          n
-        end)
-      0 devices
-  in
-  attacked + Hashtbl.length keys
+  let runs = ref 0 and instructions = ref 0 in
+  for id = lo to hi - 1 do
+    let d = devices.(id) in
+    let schedule = Fleet.Field.schedule_at field ~x:d.Shard.x ~y:d.Shard.y in
+    let key = (d.Shard.workload, d.Shard.scheme, d.Shard.board) in
+    if Gecko_emi.Schedule.n_windows schedule > 0 || not (Hashtbl.mem keys key)
+    then begin
+      if Gecko_emi.Schedule.n_windows schedule = 0 then
+        Hashtbl.replace keys key ();
+      let agg, _, _ = isolated.(id) in
+      incr runs;
+      instructions := !instructions + agg.Fleet.Agg.instructions
+    end
+  done;
+  (!runs, !instructions)
 
 let with_jobs jobs f =
   let saved = Workbench.jobs () in
@@ -200,8 +201,9 @@ let with_jobs jobs f =
       f ())
 
 (* A campaign — at 1 and 4 jobs, and interrupted then resumed — equals
-   the isolated runs folded in id order, report and telemetry alike, and
-   simulates each distinct unattacked run once. *)
+   the isolated runs folded in id order, report and telemetry alike,
+   simulates each distinct unattacked run once, and counts the
+   instructions of each run once. *)
 let prop_campaign_shared =
   QCheck.Test.make ~count:10 ~name:"campaign with shared runs = isolated runs"
     shared_spec_arb (fun spec ->
@@ -212,11 +214,14 @@ let prop_campaign_shared =
           spec
       in
       let same r = (report_json r, telemetry_json r) = expected in
-      let full_runs = expected_runs field devices in
+      let work lo hi (r : Campaign.result) =
+        (r.Campaign.simulated_runs, r.Campaign.instructions_run)
+        = expected_work field devices isolated lo hi
+      in
       let whole jobs =
         with_jobs jobs (fun () ->
             let r = run () in
-            same r && r.Campaign.simulated_runs = full_runs)
+            same r && work 0 spec.Spec.devices r)
       in
       let resumed () =
         let snap = Filename.temp_file "gecko_shared" ".json" in
@@ -229,12 +234,7 @@ let prop_campaign_shared =
               min spec.Spec.devices (max_shards * spec.Spec.shard_size)
             in
             let r = run ~resume:(Campaign.load_snapshot snap) () in
-            first.Campaign.simulated_runs
-            = expected_runs field (Array.sub devices 0 cut)
-            && r.Campaign.simulated_runs
-               = expected_runs field
-                   (Array.sub devices cut (spec.Spec.devices - cut))
-            && same r)
+            work 0 cut first && work cut spec.Spec.devices r && same r)
       in
       whole 1 && whole 4 && resumed ())
 
